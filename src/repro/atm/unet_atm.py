@@ -24,8 +24,9 @@ bandwidth ceiling.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..core.base import UNetBackend
 from ..core.descriptors import RecvDescriptor
@@ -33,7 +34,7 @@ from ..core.endpoint import Endpoint
 from ..core.errors import ChannelError
 from ..core.mux import ShardedDemux
 from ..hw.bus import PCI_BUS, BusModel, DmaEngine
-from ..sim import Simulator, Store, TraceRecorder
+from ..sim import Simulator, TraceRecorder
 from .cells import (
     AAL5_MAX_PDU,
     SINGLE_CELL_MAX_PAYLOAD,
@@ -131,11 +132,16 @@ class UNetAtmBackend(UNetBackend):
         #: reserved VCIs owned by the NIC-resident collective engine
         self._collective_vcis: Dict[int, "Callable[[bytes], None]"] = {}
         self._collective_reasm: Dict[int, List[Cell]] = {}
-        self._collective_txq: Optional[Store] = None
-        self._tx_doorbell: Store[Endpoint] = Store(sim, name=f"{name}.doorbell")
+        # The i960's three loops are call_in state machines: each waits
+        # on its own queue and sleeps (idle) when that queue is empty.
+        self._collective_txq: Deque[Tuple[int, bytes]] = deque()
+        self._collective_tx_idle = True
+        self._tx_doorbell: Deque[Endpoint] = deque()
+        self._tx_idle = True
         self._tx_pending: Dict[int, bool] = {}
         self._reassembly: Dict[int, _Reassembly] = {}
-        self._rx_cells: Store[Cell] = Store(sim, name=f"{name}.rxcells")
+        self._rx_cells: Deque[Cell] = deque()
+        self._rx_idle = True
         # statistics
         self.pdus_sent = 0
         self.pdus_received = 0
@@ -143,8 +149,6 @@ class UNetAtmBackend(UNetBackend):
         self.no_buffer_drops = 0
         self.recv_queue_drops = 0
         self.quarantine_drops = 0
-        sim.process(self._tx_firmware(), name=f"{name}.i960-tx")
-        sim.process(self._rx_firmware(), name=f"{name}.i960-rx")
 
     # ------------------------------------------------------------------ API
     @property
@@ -163,51 +167,78 @@ class UNetAtmBackend(UNetBackend):
         yield self.sim.timeout(self.timings.host_doorbell_us)
         if not self._tx_pending.get(endpoint.id):
             self._tx_pending[endpoint.id] = True
-            self._tx_doorbell.try_put(endpoint)
-
-    def _step(self, category: str, label: str, duration: float, begin: bool = False) -> Generator:
-        start = self.sim.now
-        yield self.sim.timeout(duration)
-        self.trace.record(start, duration, category, label, begin=begin)
-
-    def _timed_dma(self, category: str, label: str, nbytes: int) -> Generator:
-        start = self.sim.now
-        yield self.sim.process(self.dma.transfer(nbytes))
-        self.trace.record(start, self.sim.now - start, category, label)
+            self._tx_doorbell.append(endpoint)
+            if self._tx_idle:
+                self._tx_idle = False
+                self.sim.call_in(0.0, self._tx_poll)
 
     # ------------------------------------------------------------- transmit
-    def _tx_firmware(self) -> Generator:
-        t = self.timings
-        while True:
-            endpoint = yield self._tx_doorbell.get()
-            self._tx_pending[endpoint.id] = False
-            yield from self._step(ATM_TX_TRACE, "i960 polls transmit queue", t.tx_poll_pickup_us,
-                                  begin=True)
-            while True:
-                descriptor = endpoint.take_send_descriptor()
-                if descriptor is None:
-                    break
-                yield from self._step(ATM_TX_TRACE, "parse descriptor, set up DMA", t.tx_per_message_us)
-                payload = b"".join(
-                    endpoint.buffers.buffer(idx).read(length) for idx, length in descriptor.segments
-                )
-                binding = endpoint.channels.get(descriptor.channel_id)
-                if binding is None:
-                    continue  # protection: unregistered channel, drop
-                # DMA the user buffer(s) from host memory to the output FIFO.
-                yield from self._timed_dma(ATM_TX_TRACE, "DMA user buffer to output FIFO",
-                                           max(1, len(payload)))
-                endpoint.send_completed(descriptor)
-                binding.messages_sent += 1
-                cells = aal5_segment(payload, vci=binding.tag.tx_vci)
-                segment_start = self.sim.now
-                for cell in cells:
-                    yield self.sim.timeout(t.tx_per_cell_us)
-                    if self.tx_link is not None:
-                        self.tx_link.submit(cell)
-                self.trace.record(segment_start, self.sim.now - segment_start, ATM_TX_TRACE,
-                                  f"segment {len(cells)} cell(s) onto the fiber")
-                self.pdus_sent += 1
+    # Each step below is one callback: it records the step that just
+    # ended and schedules the next one, exactly where the firmware loop
+    # of Section 4.2 would wait.
+    def _tx_poll(self) -> None:
+        """Pick up the oldest doorbell: the polling-discovery step.
+
+        Always entered through a zero-delay callback: until it runs, the
+        endpoint's doorbell counts as pending, so a same-instant kick
+        for that endpoint rings no second doorbell (the work it posted
+        is picked up by this poll).
+        """
+        endpoint = self._tx_doorbell.popleft()
+        self._tx_pending[endpoint.id] = False
+        self.sim.call_in(self.timings.tx_poll_pickup_us, self._tx_polled, endpoint, self.sim.now)
+
+    def _tx_polled(self, endpoint: Endpoint, start: float) -> None:
+        self.trace.record(start, self.timings.tx_poll_pickup_us, ATM_TX_TRACE,
+                          "i960 polls transmit queue", begin=True)
+        self._tx_next(endpoint)
+
+    def _tx_next(self, endpoint: Endpoint) -> None:
+        """Parse the endpoint's next send descriptor, or move on."""
+        descriptor = endpoint.take_send_descriptor()
+        if descriptor is not None:
+            self.sim.call_in(self.timings.tx_per_message_us, self._tx_parsed, endpoint,
+                             descriptor, self.sim.now)
+        elif self._tx_doorbell:
+            self.sim.call_in(0.0, self._tx_poll)
+        else:
+            self._tx_idle = True
+
+    def _tx_parsed(self, endpoint: Endpoint, descriptor, start: float) -> None:
+        self.trace.record(start, self.timings.tx_per_message_us, ATM_TX_TRACE,
+                          "parse descriptor, set up DMA", begin=False)
+        payload = b"".join(
+            endpoint.buffers.buffer(idx).read(length) for idx, length in descriptor.segments
+        )
+        binding = endpoint.channels.get(descriptor.channel_id)
+        if binding is None:
+            self._tx_next(endpoint)  # protection: unregistered channel, drop
+            return
+        # DMA the user buffer(s) from host memory to the output FIFO.
+        self.dma.start(max(1, len(payload)), self._tx_fetched, endpoint, descriptor, binding,
+                       payload, self.sim.now)
+
+    def _tx_fetched(self, endpoint: Endpoint, descriptor, binding, payload: bytes,
+                    start: float) -> None:
+        now = self.sim.now
+        self.trace.record(start, now - start, ATM_TX_TRACE, "DMA user buffer to output FIFO")
+        endpoint.send_completed(descriptor)
+        binding.messages_sent += 1
+        cells = aal5_segment(payload, vci=binding.tag.tx_vci)
+        self.sim.call_in(self.timings.tx_per_cell_us, self._tx_cell, endpoint, cells, 0, now)
+
+    def _tx_cell(self, endpoint: Endpoint, cells: List[Cell], index: int, start: float) -> None:
+        """One cell's DMA burst is paced out: put it on the fiber."""
+        if self.tx_link is not None:
+            self.tx_link.submit(cells[index])
+        index += 1
+        if index < len(cells):
+            self.sim.call_in(self.timings.tx_per_cell_us, self._tx_cell, endpoint, cells, index, start)
+            return
+        self.trace.record(start, self.sim.now - start, ATM_TX_TRACE,
+                          f"segment {len(cells)} cell(s) onto the fiber")
+        self.pdus_sent += 1
+        self._tx_next(endpoint)
 
     def rx_fault_hooks(self):
         """Delivery hook points a fault pipeline may interpose on.
@@ -220,61 +251,106 @@ class UNetAtmBackend(UNetBackend):
     # -------------------------------------------------------------- receive
     def on_cell(self, cell: Cell) -> None:
         """Ingress callback wired to the switch-egress CellLink."""
-        self._rx_cells.try_put(cell)
+        self._rx_cells.append(cell)
+        if self._rx_idle:
+            self._rx_idle = False
+            self._rx_pop()
 
-    def _rx_firmware(self) -> Generator:
+    def _rx_pop(self) -> None:
+        """Pop the next cell from the input FIFO and look up its VCI.
+
+        Runs inline, without a wake-up hop: it reads only firmware-private
+        state, and every cell's lookup step is scheduled this same way,
+        so same-instant lookups on different NICs keep their order.
+        """
+        cell = self._rx_cells.popleft()
+        self.sim.call_in(self.timings.rx_per_cell_us, self._rx_looked_up, cell, self.sim.now,
+                         cell.vci not in self._reassembly)
+
+    def _rx_next(self) -> None:
+        """The current cell is done with: take the next, or sleep."""
+        if self._rx_cells:
+            self._rx_pop()
+        else:
+            self._rx_idle = True
+
+    def _rx_looked_up(self, cell: Cell, start: float, is_first: bool) -> None:
         t = self.timings
-        while True:
-            cell = yield self._rx_cells.get()
-            is_first = self._reassembly.get(cell.vci) is None
-            yield from self._step(ATM_RX_TRACE, "pop cell, VCI table lookup", t.rx_per_cell_us,
-                                  begin=is_first)
-            target = self.demux.lookup(cell.vci)
-            if target is None:
-                handler = self._collective_vcis.get(cell.vci)
-                if handler is not None:
-                    yield from self._rx_collective(cell, handler)
-                continue
-            endpoint, channel_id = target
-            if endpoint.quarantined:
-                # containment: drop the cell right after the VCI lookup so
-                # a misbehaving endpoint stops consuming i960 service time
-                # (no buffer allocation, no DMA); one drop counted per PDU
-                state = self._reassembly.pop(cell.vci, None)
-                if state is not None:
-                    for idx in state.buffer_indices:
-                        endpoint.free_queue.try_push(idx)
-                if cell.last:
-                    self.quarantine_drops += 1
-                    endpoint.note_drop("quarantine_drops")
-                continue
-            state = self._reassembly.get(cell.vci)
-            if state is None and cell.last and self.single_cell_fast_path:
-                yield from self._rx_single_cell(cell, endpoint, channel_id)
-                continue
-            if state is None:
-                state = _Reassembly()
-                self._reassembly[cell.vci] = state
-                yield from self._step(ATM_RX_TRACE, "allocate buffer from free queue",
-                                      t.rx_buffer_alloc_us)
-                taken = endpoint.take_free_buffer()
-                if taken is None:
-                    state.dropping = True
-                    self.no_buffer_drops += 1
-                    endpoint.note_drop("no_buffer_drops")
-                else:
-                    state.buffer_indices.append(taken)
-            if not state.dropping:
-                state.cells.append(cell)
-                # cells are DMAed into the host buffer in 96-byte PCI
-                # bursts (Section 4.2.2), i.e. two cells per transfer
-                if len(state.cells) % 2 == 0 or cell.last:
-                    yield from self._timed_dma(ATM_RX_TRACE, "DMA cell burst into buffer",
-                                               2 * len(cell.payload))
+        self.trace.record(start, t.rx_per_cell_us, ATM_RX_TRACE, "pop cell, VCI table lookup",
+                          begin=is_first)
+        target = self.demux.lookup(cell.vci)
+        if target is None:
+            handler = self._collective_vcis.get(cell.vci)
+            if handler is not None:
+                self._rx_collective(cell, handler)
+            else:
+                self._rx_next()
+            return
+        endpoint, channel_id = target
+        if endpoint.quarantined:
+            # containment: drop the cell right after the VCI lookup so
+            # a misbehaving endpoint stops consuming i960 service time
+            # (no buffer allocation, no DMA); one drop counted per PDU
+            state = self._reassembly.pop(cell.vci, None)
+            if state is not None:
+                for idx in state.buffer_indices:
+                    endpoint.free_queue.try_push(idx)
             if cell.last:
-                del self._reassembly[cell.vci]
-                if not state.dropping:
-                    yield from self._rx_complete(state, endpoint, channel_id)
+                self.quarantine_drops += 1
+                endpoint.note_drop("quarantine_drops")
+            self._rx_next()
+            return
+        state = self._reassembly.get(cell.vci)
+        if state is None and cell.last and self.single_cell_fast_path:
+            self.sim.call_in(t.rx_single_cell_us, self._rx_single_cell, cell, endpoint,
+                             channel_id, self.sim.now)
+        elif state is None:
+            state = _Reassembly()
+            self._reassembly[cell.vci] = state
+            self.sim.call_in(t.rx_buffer_alloc_us, self._rx_allocated, cell, state, endpoint,
+                             channel_id, self.sim.now)
+        else:
+            self._rx_append(cell, state, endpoint, channel_id)
+
+    def _rx_allocated(self, cell: Cell, state: _Reassembly, endpoint: Endpoint,
+                      channel_id: int, start: float) -> None:
+        self.trace.record(start, self.timings.rx_buffer_alloc_us, ATM_RX_TRACE,
+                          "allocate buffer from free queue", begin=False)
+        taken = endpoint.take_free_buffer()
+        if taken is None:
+            state.dropping = True
+            self.no_buffer_drops += 1
+            endpoint.note_drop("no_buffer_drops")
+        else:
+            state.buffer_indices.append(taken)
+        self._rx_append(cell, state, endpoint, channel_id)
+
+    def _rx_append(self, cell: Cell, state: _Reassembly, endpoint: Endpoint,
+                   channel_id: int) -> None:
+        if not state.dropping:
+            state.cells.append(cell)
+            # cells are DMAed into the host buffer in 96-byte PCI
+            # bursts (Section 4.2.2), i.e. two cells per transfer
+            if len(state.cells) % 2 == 0 or cell.last:
+                self.dma.start(2 * len(cell.payload), self._rx_burst_moved, cell, state,
+                               endpoint, channel_id, self.sim.now)
+                return
+        self._rx_appended(cell, state, endpoint, channel_id)
+
+    def _rx_burst_moved(self, cell: Cell, state: _Reassembly, endpoint: Endpoint,
+                        channel_id: int, start: float) -> None:
+        self.trace.record(start, self.sim.now - start, ATM_RX_TRACE, "DMA cell burst into buffer")
+        self._rx_appended(cell, state, endpoint, channel_id)
+
+    def _rx_appended(self, cell: Cell, state: _Reassembly, endpoint: Endpoint,
+                     channel_id: int) -> None:
+        if cell.last:
+            del self._reassembly[cell.vci]
+            if not state.dropping:
+                self.sim.call_in(self.timings.rx_last_cell_us, self._rx_complete, state,
+                                 endpoint, channel_id, self.sim.now)
+                return
+        self._rx_next()
 
     # ---------------------------------------------------- collective engine
     def register_collective_vci(self, vci: int, handler: Callable[[bytes], None]) -> None:
@@ -289,86 +365,107 @@ class UNetAtmBackend(UNetBackend):
 
     def send_collective(self, vci: int, payload: bytes) -> None:
         """Firmware-originated send: segment and transmit, no host at all."""
-        if self._collective_txq is None:
-            self._collective_txq = Store(self.sim, name=f"{self.name}.colltx")
-            self.sim.process(self._collective_tx_firmware(),
-                             name=f"{self.name}.i960-coll")
-        self._collective_txq.try_put((vci, payload))
+        self._collective_txq.append((vci, payload))
+        if self._collective_tx_idle:
+            self._collective_tx_idle = False
+            self.sim.call_in(0.0, self._collective_tx_pop)
 
-    def _collective_tx_firmware(self) -> Generator:
-        t = self.timings
-        while True:
-            vci, payload = yield self._collective_txq.get()
-            yield from self._step(ATM_TX_TRACE, "collective engine send",
-                                  t.collective_op_us)
-            for cell in aal5_segment(payload, vci=vci):
-                yield self.sim.timeout(t.tx_per_cell_us)
-                if self.tx_link is not None:
-                    self.tx_link.submit(cell)
+    def _collective_tx_pop(self) -> None:
+        # entered through a zero-delay callback: a combine step another
+        # NIC starts later this instant still ends ahead of this send
+        vci, payload = self._collective_txq.popleft()
+        self.sim.call_in(self.timings.collective_op_us, self._collective_tx_ready, vci, payload,
+                         self.sim.now)
 
-    def _rx_collective(self, cell: Cell, handler: Callable[[bytes], None]) -> Generator:
+    def _collective_tx_ready(self, vci: int, payload: bytes, start: float) -> None:
+        self.trace.record(start, self.timings.collective_op_us, ATM_TX_TRACE,
+                          "collective engine send", begin=False)
+        self.sim.call_in(self.timings.tx_per_cell_us, self._collective_tx_cell,
+                         aal5_segment(payload, vci=vci), 0)
+
+    def _collective_tx_cell(self, cells: List[Cell], index: int) -> None:
+        if self.tx_link is not None:
+            self.tx_link.submit(cells[index])
+        index += 1
+        if index < len(cells):
+            self.sim.call_in(self.timings.tx_per_cell_us, self._collective_tx_cell, cells, index)
+        elif self._collective_txq:
+            self.sim.call_in(0.0, self._collective_tx_pop)
+        else:
+            self._collective_tx_idle = True
+
+    def _rx_collective(self, cell: Cell, handler: Callable[[bytes], None]) -> None:
         cells = self._collective_reasm.setdefault(cell.vci, [])
         cells.append(cell)
         if not cell.last:
+            self._rx_next()
             return
         del self._collective_reasm[cell.vci]
-        yield from self._step(ATM_RX_TRACE, "collective engine combine",
-                              self.timings.collective_op_us)
+        self.sim.call_in(self.timings.collective_op_us, self._rx_combine, cells, handler,
+                         self.sim.now)
+
+    def _rx_combine(self, cells: List[Cell], handler: Callable[[bytes], None],
+                    start: float) -> None:
+        self.trace.record(start, self.timings.collective_op_us, ATM_RX_TRACE,
+                          "collective engine combine", begin=False)
         try:
             payload = aal5_reassemble(cells)
         except Aal5Error:
             self.crc_errors += 1
-            return
-        handler(payload)
+        else:
+            handler(payload)
+        self._rx_next()
 
-    def _rx_single_cell(self, cell: Cell, endpoint: Endpoint, channel_id: int) -> Generator:
+    def _rx_single_cell(self, cell: Cell, endpoint: Endpoint, channel_id: int,
+                        start: float) -> None:
         """Fast path: the whole message lands in the receive descriptor."""
-        t = self.timings
-        yield from self._step(ATM_RX_TRACE, "single-cell fast path (no buffer alloc)",
-                              t.rx_single_cell_us)
+        self.trace.record(start, self.timings.rx_single_cell_us, ATM_RX_TRACE,
+                          "single-cell fast path (no buffer alloc)", begin=False)
         try:
             payload = aal5_reassemble([cell])
         except Aal5Error:
             self.crc_errors += 1
+            self._rx_next()
             return
-        yield from self._timed_dma(ATM_RX_TRACE, "DMA message into receive descriptor",
-                                   DESCRIPTOR_DMA_BYTES + len(payload))
+        self.dma.start(DESCRIPTOR_DMA_BYTES + len(payload), self._rx_single_cell_moved, endpoint,
+                       channel_id, payload, self.sim.now)
+
+    def _rx_single_cell_moved(self, endpoint: Endpoint, channel_id: int, payload: bytes,
+                              start: float) -> None:
+        self.trace.record(start, self.sim.now - start, ATM_RX_TRACE,
+                          "DMA message into receive descriptor")
         descriptor = RecvDescriptor(channel_id=channel_id, length=len(payload), inline=payload)
         if not endpoint.deliver(descriptor):
             self.recv_queue_drops += 1
         else:
             self.pdus_received += 1
+        self._rx_next()
 
-    def _rx_complete(self, state: _Reassembly, endpoint: Endpoint, channel_id: int) -> Generator:
+    def _rx_complete(self, state: _Reassembly, endpoint: Endpoint, channel_id: int,
+                     start: float) -> None:
         """Slow path completion: CRC check, buffer fill, descriptor push."""
-        t = self.timings
-        yield from self._step(ATM_RX_TRACE, "check hardware CRC, build descriptor",
-                              t.rx_last_cell_us)
+        self.trace.record(start, self.timings.rx_last_cell_us, ATM_RX_TRACE,
+                          "check hardware CRC, build descriptor", begin=False)
         try:
             payload = aal5_reassemble(state.cells)
         except Aal5Error:
             self.crc_errors += 1
             for idx in state.buffer_indices:
                 endpoint.free_queue.try_push(idx)
+            self._rx_next()
             return
-        # spill across additional free-queue buffers if the PDU is larger
-        # than one buffer (chained-buffer receive).
-        segments = []
-        offset = 0
+        self._rx_fill(payload, list(state.buffer_indices), [], 0, endpoint, channel_id)
+
+    def _rx_fill(self, payload: bytes, indices: List[int], segments: list, offset: int,
+                 endpoint: Endpoint, channel_id: int) -> None:
+        """Copy the PDU into its buffers, spilling across additional
+        free-queue buffers when it outgrows one (chained-buffer receive)."""
         buffer_size = endpoint.buffers.buffer_size
-        indices = list(state.buffer_indices)
         while offset < len(payload) or (not segments and not payload):
             if not indices:
-                yield from self._step(ATM_RX_TRACE, "allocate buffer from free queue",
-                                      t.rx_buffer_alloc_us)
-                idx = endpoint.take_free_buffer()
-                if idx is None:
-                    self.no_buffer_drops += 1
-                    endpoint.note_drop("no_buffer_drops")
-                    for used_idx, _len in segments:
-                        endpoint.free_queue.try_push(used_idx)
-                    return
-                indices.append(idx)
+                self.sim.call_in(self.timings.rx_buffer_alloc_us, self._rx_spill, payload,
+                                 indices, segments, offset, endpoint, channel_id, self.sim.now)
+                return
             idx = indices.pop(0)
             chunk = payload[offset : offset + buffer_size]
             buf = endpoint.buffers.buffer(idx)
@@ -378,8 +475,28 @@ class UNetAtmBackend(UNetBackend):
             offset += len(chunk)
             if not payload:
                 break
-        yield from self._timed_dma(ATM_RX_TRACE, "DMA descriptor into receive queue",
-                                   DESCRIPTOR_DMA_BYTES)
+        self.dma.start(DESCRIPTOR_DMA_BYTES, self._rx_descriptor_moved, payload, segments,
+                       endpoint, channel_id, self.sim.now)
+
+    def _rx_spill(self, payload: bytes, indices: List[int], segments: list, offset: int,
+                  endpoint: Endpoint, channel_id: int, start: float) -> None:
+        self.trace.record(start, self.timings.rx_buffer_alloc_us, ATM_RX_TRACE,
+                          "allocate buffer from free queue", begin=False)
+        idx = endpoint.take_free_buffer()
+        if idx is None:
+            self.no_buffer_drops += 1
+            endpoint.note_drop("no_buffer_drops")
+            for used_idx, _len in segments:
+                endpoint.free_queue.try_push(used_idx)
+            self._rx_next()
+            return
+        indices.append(idx)
+        self._rx_fill(payload, indices, segments, offset, endpoint, channel_id)
+
+    def _rx_descriptor_moved(self, payload: bytes, segments: list, endpoint: Endpoint,
+                             channel_id: int, start: float) -> None:
+        self.trace.record(start, self.sim.now - start, ATM_RX_TRACE,
+                          "DMA descriptor into receive queue")
         descriptor = RecvDescriptor(channel_id=channel_id, length=len(payload), segments=segments)
         if not endpoint.deliver(descriptor):
             self.recv_queue_drops += 1
@@ -387,3 +504,4 @@ class UNetAtmBackend(UNetBackend):
                 endpoint.free_queue.try_push(idx)
         else:
             self.pdus_received += 1
+        self._rx_next()

@@ -12,15 +12,20 @@ in the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from collections import deque
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Deque, Optional, Tuple
 
 from ..hw.bus import PCI_BUS, BusModel, DmaEngine
-from ..sim import BoundedRing, Simulator, Store, TraceRecorder
+from ..sim import BoundedRing, Simulator, TraceRecorder
 from .frames import COLLECTIVE_PORT, ETH_HEADER_SIZE, EthernetFrame, MacAddress
 from .medium import Attachment, ExcessiveCollisions
 
 __all__ = ["Dc21140", "NicTimings", "TxRingDescriptor", "RxRingBuffer"]
+
+#: frames the chip's transmit FIFO stages ahead of the wire
+TX_FIFO_FRAMES = 2
 
 
 @dataclass
@@ -91,11 +96,16 @@ class Dc21140:
         self.collective_rx: Optional[Callable[[bytes], None]] = None
         #: kernel installs this to learn of freed TX ring slots
         self.on_tx_space: Optional[Callable[[], None]] = None
-        self._poll_demand: Store[bool] = Store(sim, name=f"{name}.polldemand")
+        #: the transmit engine is draining the ring (a poll demand then
+        #: needs no new scan)
         self._tx_running = False
         #: staging between the DMA engine and the wire: the chip prefetches
         #: the next frame into its FIFO while the current one transmits
-        self._tx_fifo: Store[TxRingDescriptor] = Store(sim, capacity=2, name=f"{name}.txfifo")
+        self._tx_fifo: Deque[TxRingDescriptor] = deque()
+        #: frames waiting for FIFO room, each with the callback that
+        #: resumes its producer (None for the collective engine)
+        self._tx_fifo_waiting: Deque[Tuple[TxRingDescriptor, Optional[Callable[[], None]]]] = deque()
+        self._wire_idle = True
         self.frames_sent = 0
         self.frames_received = 0
         self.rx_overflow_drops = 0
@@ -103,8 +113,6 @@ class Dc21140:
         self.tx_collision_drops = 0
         #: optional step tracing (the end-to-end journey tracer uses it)
         self.trace = TraceRecorder(enabled=False)
-        sim.process(self._tx_engine(), name=f"{name}.tx")
-        sim.process(self._tx_wire(), name=f"{name}.txwire")
 
     def _span(self, label: str, start: float) -> None:
         self.trace.record(start, self.sim.now - start, "nic", f"{self.name}: {label}")
@@ -115,54 +123,85 @@ class Dc21140:
         attachment.set_receiver(lambda frame: self._on_frame(frame))
 
     # ------------------------------------------------------------- transmit
+    # The transmit engine, the wire side and the receive path are call_in
+    # state machines: each callback ends one step and schedules the next.
+    # A poll demand, a FIFO hand-over and a freed FIFO slot take effect
+    # through a zero-delay callback, so the ring scan, the carrier sense
+    # and the kernel's CPU queue see everything else due this instant.
     def poll_demand(self) -> None:
         """Kernel side: tell the chip to scan its transmit ring."""
         if not self._tx_running:
-            self._poll_demand.try_put(True)
-
-    def _tx_engine(self):
-        t = self.timings
-        while True:
-            yield self._poll_demand.get()
             self._tx_running = True
-            while True:
-                was_full = self.tx_ring.is_full
-                descriptor = self.tx_ring.try_pop()
-                if descriptor is None:
-                    break
-                if was_full and self.on_tx_space is not None:
-                    self.on_tx_space()
-                t0 = self.sim.now
-                yield self.sim.timeout(t.tx_descriptor_fetch_us)
-                self._span("fetch TX descriptor", t0)
-                # DMA the kernel header buffer + the user data buffer
-                frame_bytes = ETH_HEADER_SIZE + len(descriptor.frame.payload)
-                t0 = self.sim.now
-                yield self.sim.process(self.dma.transfer(frame_bytes))
-                self._span("DMA frame into FIFO", t0)
-                yield self.sim.timeout(t.tx_fifo_threshold_us)
-                # the frame now sits in the chip FIFO: the host buffers are
-                # no longer needed even though the wire may lag behind
-                descriptor.completed = True
-                if descriptor.on_complete is not None:
-                    descriptor.on_complete()
-                yield self._tx_fifo.put(descriptor)
-            self._tx_running = False
-            # a poll demand issued while running is honoured by the loop
-            # above; drain any stale doorbells
-            while self._poll_demand.try_get() is not None:
-                pass
+            self.sim.call_in(0.0, self._tx_next)
 
-    def _tx_wire(self):
-        while True:
-            descriptor = yield self._tx_fifo.get()
-            try:
-                t0 = self.sim.now
-                yield self.sim.process(self.attachment.transmit(descriptor.frame))
-                self._span("serialize frame onto the wire", t0)
-                self.frames_sent += 1
-            except ExcessiveCollisions:
-                self.tx_collision_drops += 1
+    def _tx_next(self) -> None:
+        """Fetch the next transmit descriptor, or stop when the ring is empty."""
+        was_full = self.tx_ring.is_full
+        descriptor = self.tx_ring.try_pop()
+        if descriptor is None:
+            self._tx_running = False
+            return
+        if was_full and self.on_tx_space is not None:
+            self.on_tx_space()
+        self.sim.call_in(self.timings.tx_descriptor_fetch_us, self._tx_fetched, descriptor,
+                         self.sim.now)
+
+    def _tx_fetched(self, descriptor: TxRingDescriptor, t0: float) -> None:
+        self._span("fetch TX descriptor", t0)
+        # DMA the kernel header buffer + the user data buffer
+        frame_bytes = ETH_HEADER_SIZE + len(descriptor.frame.payload)
+        self.dma.start(frame_bytes, self._tx_moved, descriptor, self.sim.now)
+
+    def _tx_moved(self, descriptor: TxRingDescriptor, t0: float) -> None:
+        self._span("DMA frame into FIFO", t0)
+        self.sim.call_in(self.timings.tx_fifo_threshold_us, self._tx_filled, descriptor)
+
+    def _tx_filled(self, descriptor: TxRingDescriptor) -> None:
+        # the frame now sits in the chip FIFO: the host buffers are
+        # no longer needed even though the wire may lag behind
+        descriptor.completed = True
+        if descriptor.on_complete is not None:
+            descriptor.on_complete()
+        self._fifo_put(descriptor, self._tx_next)
+
+    def _fifo_put(self, descriptor: TxRingDescriptor,
+                  resume: Optional[Callable[[], None]]) -> None:
+        """Stage a frame for the wire; a full FIFO parks it (and its
+        producer) until the wire takes a frame."""
+        if len(self._tx_fifo) >= TX_FIFO_FRAMES:
+            self._tx_fifo_waiting.append((descriptor, resume))
+            return
+        if self._wire_idle:
+            self._wire_idle = False
+            self.sim.call_in(0.0, self._wire_send, descriptor)
+        else:
+            self._tx_fifo.append(descriptor)
+        if resume is not None:
+            self.sim.call_in(0.0, resume)
+
+    def _wire_send(self, descriptor: TxRingDescriptor) -> None:
+        transmit = self.sim.process(self.attachment.transmit(descriptor.frame))
+        transmit.callbacks.append(partial(self._wire_done, self.sim.now))
+
+    def _wire_done(self, t0: float, transmit) -> None:
+        if transmit.ok:
+            self._span("serialize frame onto the wire", t0)
+            self.frames_sent += 1
+        elif isinstance(transmit.value, ExcessiveCollisions):
+            self.tx_collision_drops += 1
+        else:
+            raise transmit.value
+        if not self._tx_fifo:
+            self._wire_idle = True
+            return
+        descriptor = self._tx_fifo.popleft()
+        resume = None
+        if self._tx_fifo_waiting:
+            waiting, resume = self._tx_fifo_waiting.popleft()
+            self._tx_fifo.append(waiting)
+        self.sim.call_in(0.0, self._wire_send, descriptor)
+        if resume is not None:
+            self.sim.call_in(0.0, resume)
 
     # -------------------------------------------------------------- receive
     def _on_frame(self, frame: EthernetFrame) -> None:
@@ -172,43 +211,45 @@ class Dc21140:
             # the chip's CRC checker rejects damaged frames in hardware
             self.rx_crc_drops += 1
             return
+        # per-frame work starts in the urgent tier of this instant, ahead
+        # of the NORMAL work already due now
         if self.collective_rx is not None and frame.dst_port == COLLECTIVE_PORT:
-            self.sim.process(self._rx_collective(frame), name=f"{self.name}.collrx")
+            self.sim._call_urgent(self.sim.call_in, self.timings.collective_op_us,
+                                  self._rx_collective, frame)
             return
-        self.sim.process(self._rx_frame(frame), name=f"{self.name}.rx")
+        self.sim._call_urgent(self._rx_start, frame)
 
     # ---------------------------------------------------- collective engine
     # A what-if extension (the DC21140 itself has no programmable core):
     # a small on-controller engine consumes and originates collective
     # packets without touching host memory.  See DESIGN.md.
-    def _rx_collective(self, frame: EthernetFrame):
-        yield self.sim.timeout(self.timings.collective_op_us)
+    def _rx_collective(self, frame: EthernetFrame) -> None:
         self.collective_rx(frame.payload)
 
     def send_collective(self, frame: EthernetFrame) -> None:
         """Collective engine TX: the controller originates the frame —
         no trap, no descriptor ring, no host DMA."""
-        self.sim.process(self._tx_collective(frame), name=f"{self.name}.colltx")
+        self.sim._call_urgent(self.sim.call_in, self.timings.collective_op_us, self._fifo_put,
+                              TxRingDescriptor(frame=frame, completed=True), None)
 
-    def _tx_collective(self, frame: EthernetFrame):
-        yield self.sim.timeout(self.timings.collective_op_us)
-        yield self._tx_fifo.put(TxRingDescriptor(frame=frame, completed=True))
-
-    def _rx_frame(self, frame: EthernetFrame):
-        t = self.timings
+    def _rx_start(self, frame: EthernetFrame) -> None:
         if self.rx_ring.is_full:
             self.rx_overflow_drops += 1
             return
-        t0 = self.sim.now
-        yield self.sim.timeout(t.rx_dma_start_us)
-        yield self.sim.process(self.dma.transfer(ETH_HEADER_SIZE + len(frame.payload)))
+        self.sim.call_in(self.timings.rx_dma_start_us, self._rx_dma, frame, self.sim.now)
+
+    def _rx_dma(self, frame: EthernetFrame, t0: float) -> None:
+        self.dma.start(ETH_HEADER_SIZE + len(frame.payload), self._rx_moved, frame, t0)
+
+    def _rx_moved(self, frame: EthernetFrame, t0: float) -> None:
         self._span("DMA frame into host ring buffer", t0)
         if not self.rx_ring.try_push(RxRingBuffer(frame=frame)):
             self.rx_overflow_drops += 1
             return
         self.frames_received += 1
-        t0 = self.sim.now
-        yield self.sim.timeout(t.rx_interrupt_delay_us)
+        self.sim.call_in(self.timings.rx_interrupt_delay_us, self._rx_interrupt, self.sim.now)
+
+    def _rx_interrupt(self, t0: float) -> None:
         self._span("raise receive interrupt", t0)
         if self.interrupt is not None:
             self.interrupt()

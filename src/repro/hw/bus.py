@@ -9,11 +9,13 @@ arbitration cost plus serialization at the bus's sustained bandwidth.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from typing import Any, Callable, Deque, Optional
 
-from ..sim import Resource, Simulator
+from ..sim import Simulator
 
-__all__ = ["BusModel", "PCI_BUS", "SBUS", "DmaEngine"]
+__all__ = ["BusModel", "PCI_BUS", "SBUS", "BusArbiter", "DmaEngine"]
 
 
 @dataclass(frozen=True)
@@ -56,31 +58,62 @@ SBUS = BusModel(
 )
 
 
+class BusArbiter:
+    """FIFO arbitration of one bus among the DMA masters sharing it."""
+
+    __slots__ = ("busy", "waiters")
+
+    def __init__(self) -> None:
+        self.busy = False
+        #: transfers waiting for the bus, oldest first
+        self.waiters: Deque[tuple] = deque()
+
+    @property
+    def queued(self) -> int:
+        return len(self.waiters)
+
+
 class DmaEngine:
     """A DMA master on a shared bus.
 
     Transfers from different devices on the same bus serialize through a
-    shared :class:`~repro.sim.Resource`, modelling bus arbitration.
+    shared :class:`BusArbiter` in request order, modelling bus
+    arbitration.
     """
 
-    def __init__(self, sim: Simulator, bus: BusModel, shared_bus: Resource = None, name: str = "dma") -> None:
+    def __init__(self, sim: Simulator, bus: BusModel, shared_bus: Optional[BusArbiter] = None,
+                 name: str = "dma") -> None:
         self.sim = sim
         self.bus = bus
         self.name = name
-        self._bus_resource = shared_bus or Resource(sim, capacity=1, name=f"{bus.name}-arb")
+        self.arbiter = shared_bus or BusArbiter()
         self.bytes_transferred = 0
         self.transfers = 0
 
-    @property
-    def bus_resource(self) -> Resource:
-        return self._bus_resource
+    def start(self, nbytes: int, done: Callable[..., None], *args: Any) -> None:
+        """Move ``nbytes`` across the bus, then call ``done(*args)``.
 
-    def transfer(self, nbytes: int):
-        """Process: acquire the bus and move ``nbytes`` across it."""
-        yield self._bus_resource.acquire()
-        try:
-            yield self.sim.timeout(self.bus.transfer_time(nbytes))
-            self.bytes_transferred += max(0, nbytes)
-            self.transfers += 1
-        finally:
-            self._bus_resource.release()
+        The transfer takes the bus now if it is free, else after every
+        transfer queued before it.  ``done`` runs as a zero-delay
+        callback scheduled after the bus has passed to the next waiter:
+        the waiter's transfer is on the timeline before the finished
+        transfer's continuation can queue another one behind it.
+        """
+        arbiter = self.arbiter
+        if arbiter.busy:
+            arbiter.waiters.append((self, nbytes, done, args))
+            return
+        arbiter.busy = True
+        self.sim.call_in(self.bus.transfer_time(nbytes), self._finish, nbytes, done, args)
+
+    def _finish(self, nbytes: int, done: Callable[..., None], args: tuple) -> None:
+        self.bytes_transferred += max(0, nbytes)
+        self.transfers += 1
+        arbiter = self.arbiter
+        if arbiter.waiters:
+            engine, waiting_bytes, waiting_done, waiting_args = arbiter.waiters.popleft()
+            self.sim.call_in(engine.bus.transfer_time(waiting_bytes), engine._finish,
+                             waiting_bytes, waiting_done, waiting_args)
+        else:
+            arbiter.busy = False
+        self.sim.call_in(0.0, done, *args)

@@ -158,7 +158,7 @@ SPARCSTATION_10 = CpuModel(
 
 #: The 25 MHz Intel i960 on the Fore SBA-200/PCA-200.  "significantly
 #: slower than the Pentium host"; its firmware costs live in
-#: repro.atm.pca200, charged in i960 cycles through this model.
+#: repro.atm.unet_atm, charged in i960 cycles through this model.
 I960_25 = CpuModel(
     name="i960-25",
     clock_mhz=25.0,

@@ -10,9 +10,10 @@ run fully deterministic.
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from .events import NORMAL, AllOf, AnyOf, Event, Process, Timeout
+from .events import NORMAL, URGENT, AllOf, AnyOf, Event, Process, Timeout
 
 __all__ = ["Simulator", "EmptySchedule"]
 
@@ -35,6 +36,21 @@ class _Callback:
     def __init__(self, fn: Callable[..., None], args: Tuple[Any, ...]) -> None:
         self.fn = fn
         self.args = args
+
+
+_INF = float("inf")
+#: event budget of a run without ``max_events``
+_UNBOUNDED = sys.maxsize
+
+
+class _Never:
+    """Stand-in stop condition for runs that wait on no process."""
+
+    __slots__ = ()
+    _triggered = False
+
+
+_NEVER = _Never()
 
 
 class Simulator:
@@ -105,6 +121,15 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, NORMAL, self._seq, _Callback(fn, args)))
 
+    def _call_urgent(self, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at the current instant, ahead of every
+        NORMAL-tier entry due now: the slot a new :class:`Process`'s
+        start-up event takes.  A device state machine that replaces a
+        process spawned per packet uses it to keep that process's place
+        in the same-instant order."""
+        self._seq += 1
+        heapq.heappush(self._queue, (self._now, URGENT, self._seq, _Callback(fn, args)))
+
     # -- execution ------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -114,57 +139,20 @@ class Simulator:
         """Process the single next event."""
         if not self._queue:
             raise EmptySchedule()
-        when, _prio, _seq, event = heapq.heappop(self._queue)
-        if when < self._now:  # pragma: no cover - defensive; cannot happen
-            raise RuntimeError("time ran backwards")
-        self._now = when
-        self._event_count += 1
-        if type(event) is _Callback:
-            event.fn(*event.args)
-            return
-        callbacks, event.callbacks = event.callbacks, None
-        event._processed = True
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        if not event.ok and not callbacks and not getattr(event, "_defused", False):
-            # An unhandled failure (e.g. a crashed process nobody waits on)
-            # must not pass silently.
-            raise event._value
+        self._dispatch(_INF, 1, _NEVER)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or the budget ends.
 
         ``until`` is an absolute simulation time; the clock is advanced to it
         even if the last event fires earlier.
-
-        The loop is intentionally inlined (rather than calling
-        :meth:`step`) — it is the single hottest function in large-cluster
-        runs and the attribute/call overhead of the delegating version was
-        measurable.
         """
+        limit = _INF if until is None else until
+        budget = _UNBOUNDED if max_events is None else max_events
+        ran = self._dispatch(limit, budget, _NEVER)
         queue = self._queue
-        pop = heapq.heappop
-        processed = 0
-        while queue:
-            if until is not None and queue[0][0] > until:
-                break
-            if max_events is not None and processed >= max_events:
-                raise RuntimeError(f"exceeded max_events={max_events} (runaway simulation?)")
-            when, _prio, _seq, event = pop(queue)
-            self._now = when
-            self._event_count += 1
-            processed += 1
-            if type(event) is _Callback:
-                event.fn(*event.args)
-                continue
-            callbacks, event.callbacks = event.callbacks, None
-            event._processed = True
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
-            elif not event._ok and not getattr(event, "_defused", False):
-                raise event._value
+        if ran == budget and queue and queue[0][0] <= limit:
+            raise RuntimeError(f"exceeded max_events={max_events} (runaway simulation?)")
         if until is not None and self._now < until:
             self._now = until
 
@@ -174,26 +162,50 @@ class Simulator:
         Raises the process's exception if it failed, and ``RuntimeError`` if
         the schedule drained or the time ``limit`` passed without completion.
         """
-        queue = self._queue
-        pop = heapq.heappop
-        while not process.triggered:
-            if not queue:
-                raise RuntimeError(f"schedule drained before process {process.name!r} completed")
-            if queue[0][0] > limit:
+        if not process.triggered:
+            self._dispatch(limit, _UNBOUNDED, process)
+            if not process.triggered:
+                if not self._queue:
+                    raise RuntimeError(f"schedule drained before process {process.name!r} completed")
                 raise RuntimeError(f"process {process.name!r} did not complete before t={limit}")
-            when, _prio, _seq, event = pop(queue)
-            self._now = when
-            self._event_count += 1
-            if type(event) is _Callback:
-                event.fn(*event.args)
-                continue
-            callbacks, event.callbacks = event.callbacks, None
-            event._processed = True
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
-            elif not event._ok and not getattr(event, "_defused", False):
-                raise event._value
         if not process.ok:
             raise process._value
         return process.value
+
+    def _dispatch(self, until: float, budget: int, stop: Any) -> int:
+        """The one event loop behind :meth:`step`, :meth:`run` and
+        :meth:`run_until_complete`; returns how many events it ran.
+
+        Pops entries in (time, tier, scheduling order) while the next one
+        is due at or before ``until`` and fewer than ``budget`` have run.
+        Callers turn unset options into unbounded limits, so no event
+        tests whether an option is set.  A process only finishes inside
+        an event's callbacks, so ``stop`` (the process
+        :meth:`run_until_complete` waits for) is tested on the event
+        branch alone, never on the hotter bare-callback branch.
+        """
+        queue = self._queue
+        pop = heapq.heappop
+        count = 0
+        try:
+            while queue and queue[0][0] <= until and count < budget:
+                when, _prio, _seq, event = pop(queue)
+                self._now = when
+                count += 1
+                if type(event) is _Callback:
+                    event.fn(*event.args)
+                    continue
+                callbacks, event.callbacks = event.callbacks, None
+                event._processed = True
+                if callbacks:
+                    for callback in callbacks:
+                        callback(event)
+                elif not event._ok and not getattr(event, "_defused", False):
+                    # An unhandled failure (e.g. a crashed process nobody
+                    # waits on) must not pass silently.
+                    raise event._value
+                if stop._triggered:
+                    break
+        finally:
+            self._event_count += count
+        return count

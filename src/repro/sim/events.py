@@ -118,8 +118,11 @@ class Event:
         self._processed = True
         self.callbacks = None
 
+    def _label(self) -> str:
+        return self.name or self.__class__.__name__
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        label = self.name or self.__class__.__name__
+        label = self._label()
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
         return f"<{label} {state} at t={self.sim.now:.3f}>"
 
@@ -132,12 +135,15 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None, priority: int = NORMAL) -> None:
         if delay < 0:
             raise ValueError(f"negative Timeout delay: {delay}")
-        super().__init__(sim, name=f"Timeout({delay})")
+        super().__init__(sim)
         self.delay = delay
         self._triggered = True
         self._ok = True
         self._value = value
         sim._schedule(self, delay=delay, priority=priority)
+
+    def _label(self) -> str:
+        return self.name or f"Timeout({self.delay})"
 
 
 class Process(Event):

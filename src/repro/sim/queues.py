@@ -49,7 +49,7 @@ class Store(Generic[T]):
 
     def put(self, item: T) -> Event:
         """Event that fires once ``item`` has been deposited."""
-        event = self.sim.event(name=f"{self.name}.put")
+        event = Event(self.sim)
         if not self.is_full:
             self._deposit(item)
             event.succeed()
@@ -66,7 +66,7 @@ class Store(Generic[T]):
 
     def get(self) -> Event:
         """Event that fires with the next item."""
-        event = self.sim.event(name=f"{self.name}.get")
+        event = Event(self.sim)
         if self._items:
             event.succeed(self._items.popleft())
             self._admit_putter()
@@ -217,7 +217,7 @@ class Resource:
         return len(self._waiters)
 
     def acquire(self) -> Event:
-        event = self.sim.event(name=f"{self.name}.acquire")
+        event = Event(self.sim)
         if self._in_use < self.capacity:
             self._in_use += 1
             event.succeed()

@@ -28,12 +28,11 @@ def test_dma_engine_serializes_on_shared_bus():
     dma = DmaEngine(sim, PCI_BUS)
     done = []
 
-    def xfer(tag, nbytes):
-        yield sim.process(dma.transfer(nbytes))
+    def finished(tag):
         done.append((tag, sim.now))
 
-    sim.process(xfer("a", 960))
-    sim.process(xfer("b", 960))
+    dma.start(960, finished, "a")
+    dma.start(960, finished, "b")
     sim.run()
     t_single = PCI_BUS.transfer_time(960)
     assert done[0][1] == pytest.approx(t_single)
@@ -45,17 +44,49 @@ def test_dma_engine_serializes_on_shared_bus():
 def test_dma_engines_share_bus_resource():
     sim = Simulator()
     nic = DmaEngine(sim, PCI_BUS, name="nic")
-    disk = DmaEngine(sim, PCI_BUS, shared_bus=nic.bus_resource, name="disk")
+    disk = DmaEngine(sim, PCI_BUS, shared_bus=nic.arbiter, name="disk")
     order = []
 
-    def xfer(engine, tag):
-        yield sim.process(engine.transfer(960))
+    def finished(tag):
         order.append((tag, sim.now))
 
-    sim.process(xfer(nic, "nic"))
-    sim.process(xfer(disk, "disk"))
+    nic.start(960, finished, "nic")
+    disk.start(960, finished, "disk")
     sim.run()
     assert order[1][1] == pytest.approx(2 * PCI_BUS.transfer_time(960))
+
+
+def test_dma_waiter_granted_before_finished_transfer_continues():
+    """A transfer that completes while another waits on the same bus
+    hands the bus over first; only then does its continuation run.  A
+    continuation that starts a new transfer therefore queues behind the
+    waiter, and the waiter's transfer ends ahead of anything the
+    continuation schedules for that same instant."""
+    sim = Simulator()
+    nic = DmaEngine(sim, PCI_BUS, name="nic")
+    disk = DmaEngine(sim, PCI_BUS, shared_bus=nic.arbiter, name="disk")
+    events = []
+    t_small = PCI_BUS.transfer_time(96)
+    t_large = PCI_BUS.transfer_time(960)
+
+    def nic_done():
+        events.append(("nic-done", sim.now, disk.transfers, nic.arbiter.queued))
+        # the waiter already holds the bus: this transfer queues behind it
+        nic.start(96, lambda: events.append(("nic-again", sim.now)))
+        sim.call_in(t_large, lambda: events.append(("probe", sim.now, disk.transfers)))
+
+    nic.start(96, nic_done)
+    disk.start(960, lambda: events.append(("disk-done", sim.now)))
+    assert nic.arbiter.queued == 1
+    sim.run()
+    assert events == [
+        ("nic-done", t_small, 0, 0),  # disk granted, not yet done, queue empty
+        ("probe", t_small + t_large, 1),  # disk's transfer ended first
+        ("disk-done", t_small + t_large),
+        ("nic-again", t_small + t_large + t_small),
+    ]
+    assert (nic.transfers, disk.transfers) == (2, 1)
+    assert nic.arbiter.queued == 0 and not nic.arbiter.busy
 
 
 # ---------------------------------------------------------------- memory
