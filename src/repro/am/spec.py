@@ -1,11 +1,12 @@
 """The AM reliability spec, as executable predicates.
 
-Two implementations now exist of the Active Messages state machine —
-the simulated :class:`~repro.am.am.AmEndpoint` (generator processes)
-and the wall-clock :class:`~repro.live.am.LiveAm` (synchronous
-polling).  The decisions the differential checker cares most about are
-exactly the ones that have historically gone off by one, so they live
-here, once, and both endpoints call them:
+The Active Messages state machine lives in :mod:`repro.am.core`, behind
+both the simulated :class:`~repro.am.am.AmEndpoint` (generator
+processes) and the wall-clock :class:`~repro.live.am.LiveAm`
+(synchronous polling).  The decisions the differential checker cares
+most about are exactly the ones that have historically gone off by one,
+so they are pure predicates here, which the core calls through its
+patchable seams:
 
 * the **credit gate**: a sender with zero known remote credit must
   stall (``<= 0``, not ``< 0`` — the classic injected bug);
@@ -38,9 +39,9 @@ here, once, and both endpoints call them:
   again until the cumulative ack passes the window edge recorded at
   that backoff (RFC-3168 shape).
 
-Keeping these shared means a fix (or a bug) lands in both substrates at
-once, and the conformance bug library can patch each implementation's
-seam knowing the healthy behavior is identical by construction.
+A fix (or a bug) here lands in both substrates at once, and the
+conformance reference model (:mod:`repro.conformance.model`) calls
+these predicates independently of the core it checks.
 """
 
 from __future__ import annotations

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..am import AmEndpoint
-from ..am.am import _PeerState  # typing/introspection only
+from ..am.core import AmCore
 from ..core import EndpointConfig
 from ..core.errors import UNetError
 from ..core.substrates import get_substrate, register_substrate
@@ -89,69 +89,20 @@ class CaseReport:
 
 
 # --------------------------------------------------------------- bug library
-def _buggy_credit_gate(self, peer: _PeerState) -> Generator:
+# Each bug is a one-line patch of a spec seam on :class:`AmCore`, so the
+# same patch breaks the simulated and the live driver alike.
+def _buggy_credit_blocked(self, peer) -> bool:
     """The classic off-by-one: sends while remote credit is exactly 0."""
-    while True:
-        if len(peer.unacked) >= self._effective_window(peer):
-            event = self.sim.event(name=f"am{self.node}.window")
-            peer.window_waiters.append(event)
-            yield event
-            continue
-        if (self.config.credit_flow and peer.remote_credit is not None
-                and peer.remote_credit < 0):  # BUG: spec says <= 0
-            peer.credit_stalls += 1
-            self._observe("credit_stall", peer, remote_credit=peer.remote_credit)
-            event = self.sim.event(name=f"am{self.node}.credit")
-            peer.credit_waiters.append(event)
-            yield event
-            continue
-        self._observe("grant", peer, unacked=len(peer.unacked),
-                      window=self._effective_window(peer),
-                      remote_credit=peer.remote_credit)
-        return
+    return (self.config.credit_flow and peer.remote_credit is not None
+            and peer.remote_credit < 0)  # BUG: spec says <= 0
 
 
-def _buggy_ack_horizon(self, peer: _PeerState, ack: int) -> None:
+def _buggy_acked_seqs(self, peer, ack: int):
     """Cumulative-ack fencepost: also acks the packet the receiver is
     still *waiting for*, so a dropped packet is never retransmitted."""
     from ..am.protocol import seq_add, seq_lt
 
-    cfg = self.config
-    acked = [seq for seq in peer.unacked if seq_lt(seq, seq_add(ack, 1))]  # BUG: < ack
-    if not acked:
-        if cfg.fast_retransmit and peer.unacked:
-            if peer.last_ack is None or peer.last_ack != ack:
-                peer.last_ack = ack
-                peer.dup_acks = 0
-            else:
-                peer.dup_acks += 1
-                if peer.dup_acks == cfg.dup_ack_threshold:
-                    self._fast_retransmit(peer)
-        return
-    peer.last_ack = ack
-    peer.dup_acks = 0
-    if cfg.adaptive_rto:
-        sample = None
-        for seq in acked:
-            sent = peer.sent_at.pop(seq, None)
-            if sent is not None and seq not in peer.rexmit_seqs:
-                sample = self.sim.now - sent
-            peer.rexmit_seqs.discard(seq)
-        if sample is not None:
-            self._update_rto(peer, sample)
-        peer.backoff = 0
-    else:
-        for seq in acked:
-            peer.sent_at.pop(seq, None)
-            peer.rexmit_seqs.discard(seq)
-    if cfg.adaptive_window:
-        peer.cwnd = min(float(cfg.window),
-                        peer.cwnd + len(acked) / max(peer.cwnd, 1.0))
-    for seq in acked:
-        del peer.unacked[seq]
-    peer.last_progress = self.sim.now
-    while peer.window_waiters and len(peer.unacked) < self._effective_window(peer):
-        peer.window_waiters.pop(0).succeed()
+    return [seq for seq in peer.unacked if seq_lt(seq, seq_add(ack, 1))]  # BUG: < ack
 
 
 def _buggy_epoch_fence(self, claimed, current) -> bool:
@@ -179,17 +130,10 @@ def _buggy_sack_plan(self, outstanding, ack, bits):
     receiver is missing — and the missing packet, being "SACKed", is
     skipped by both selective retransmit and the RTO head pick while
     some already-delivered packet is retransmitted forever."""
-    from ..am.protocol import SACK_BITMAP_BITS, SEQ_MOD, seq_add, seq_lt
+    from ..am.protocol import seq_add
+    from ..am.spec import sack_retransmit_plan
 
-    claimed = {seq_add(ack, i)  # BUG: spec says ack + 1 + i
-               for i in range(SACK_BITMAP_BITS) if (bits >> i) & 1}
-    if not claimed:
-        return [], []
-    highest = max(claimed, key=lambda s: (s - ack) % SEQ_MOD)
-    sacked = [s for s in outstanding if s in claimed]
-    holes = [s for s in outstanding
-             if s not in claimed and seq_lt(s, highest)]
-    return sacked, holes
+    return sack_retransmit_plan(outstanding, seq_add(ack, -1), bits)  # BUG: bit i read as ack + i
 
 
 def _buggy_ecn_echo(self, peer):
@@ -203,14 +147,14 @@ BUGS: Dict[str, dict] = {
     "credit-gate": {
         "description": "send admitted while remote credit is exactly 0 "
                        "(gate tests < 0 instead of <= 0)",
-        "patches": {"_acquire_window": _buggy_credit_gate},
+        "patches": {"_credit_blocked": _buggy_credit_blocked},
         "configs": ("credit",),
     },
     "ack-horizon": {
         "description": "cumulative ack off by one: the packet the receiver "
                        "is waiting for is treated as acknowledged, so a "
                        "dropped packet is never retransmitted",
-        "patches": {"_process_ack": _buggy_ack_horizon},
+        "patches": {"_acked_seqs": _buggy_acked_seqs},
         "configs": ("fixed", "adaptive", "credit"),
     },
     "epoch-fence": {
@@ -247,21 +191,22 @@ BUGS: Dict[str, dict] = {
 
 @contextmanager
 def inject_bug(name: Optional[str]):
-    """Temporarily install a named bug into :class:`AmEndpoint`."""
+    """Temporarily install a named bug into the protocol core, and so
+    into every AM driver: simulated and live endpoints alike."""
     if name is None:
         yield
         return
     if name not in BUGS:
         raise ValueError(f"unknown bug {name!r}; choose from {sorted(BUGS)}")
     patches = BUGS[name]["patches"]
-    saved = {attr: getattr(AmEndpoint, attr) for attr in patches}
+    saved = {attr: getattr(AmCore, attr) for attr in patches}
     try:
         for attr, fn in patches.items():
-            setattr(AmEndpoint, attr, fn)
+            setattr(AmCore, attr, fn)
         yield
     finally:
         for attr, fn in saved.items():
-            setattr(AmEndpoint, attr, fn)
+            setattr(AmCore, attr, fn)
 
 
 # ------------------------------------------------------------------- running
@@ -279,6 +224,67 @@ def _build_network(substrate: str, sim: Simulator):
 
 def _payload(i: int, size: int) -> bytes:
     return bytes((i + j) % 256 for j in range(size))
+
+
+class _Workload:
+    """What every substrate runner shares once its two AM endpoints
+    exist: the observation probe, the receiving side of the workload
+    (payload-integrity and echo-rpc handlers on node 1) and the verdict."""
+
+    def __init__(self, name: str, case: ConformanceCase, am0, am1,
+                 endpoints, demuxes) -> None:
+        self.case = case
+        self.am0, self.am1 = am0, am1
+        self.probe = ObservationProbe(name, requester_node=0,
+                                      config_window=am0.config.window)
+        self.probe.attach_am(am0)
+        self.probe.attach_am(am1)
+        for ep in endpoints:
+            self.probe.attach_endpoint(ep.endpoint)
+        for demux in demuxes:
+            self.probe.attach_demux(demux)
+        self.integrity_failures: List[int] = []
+        self.rpc_errors: List[str] = []
+        am1.register_handler(1, self._check_payload)
+        am1.register_handler(2, self._echo)
+
+    def _check_payload(self, ctx) -> None:
+        i = ctx.args[0]
+        if ctx.data != _payload(i, len(ctx.data)) or len(ctx.data) != self.case.messages[i].size:
+            self.integrity_failures.append(i)
+
+    def _echo(self, ctx):
+        self._check_payload(ctx)
+        # on the simulator the reply is a generator the driver runs
+        return ctx.reply(args=(ctx.args[0] * 2 + 1,))
+
+    def check_reply(self, i: int, args) -> None:
+        if args[0] != i * 2 + 1:
+            self.rpc_errors.append(f"rpc {i} returned {args[0]}, wanted {i * 2 + 1}")
+
+    def settled(self, fwd_life, fwd_events) -> bool:
+        """Crash cases end at *fate resolution*, not last send: every
+        lifecycle event fired, the reconnect handshake closed, and no
+        send is still awaiting an ack or the abandon verdict."""
+        if fwd_life is not None and len(fwd_life.fired) < len(fwd_events):
+            return False
+        snap0 = self.am0.snapshot().get(1, {})
+        snap1 = self.am1.snapshot().get(0, {})
+        return (not snap0.get("unacked") and not snap0.get("reconnecting")
+                and not snap1.get("reconnecting"))
+
+    def finish(self, completed: bool, completion: float, fired,
+               fwd_life) -> ObservedTrace:
+        for line in self.rpc_errors:
+            self.probe.violations.append(f"rpc: {line}")
+        if self.integrity_failures:
+            self.probe.violations.append(
+                f"integrity: corrupted payload reached the handler for ids "
+                f"{sorted(set(self.integrity_failures))[:8]}")
+        return self.probe.finish(
+            completed, completion, fired=fired,
+            snapshots={"am0": self.am0.snapshot(), "am1": self.am1.snapshot()},
+            lifecycle_fired=fwd_life.fired if fwd_life is not None else ())
 
 
 def run_substrate(case: ConformanceCase, substrate: str,
@@ -306,15 +312,9 @@ def run_substrate(case: ConformanceCase, substrate: str,
         am0.connect_peer(1, ch0)
         am1.connect_peer(0, ch1)
 
-        probe = ObservationProbe(substrate, requester_node=0,
-                                 config_window=config0.window)
-        probe.attach_am(am0)
-        probe.attach_am(am1)
-        probe.attach_endpoint(ep0.endpoint)
-        probe.attach_endpoint(ep1.endpoint)
-        probe.attach_demux(h0.backend.demux)
-        probe.attach_demux(h1.backend.demux)
-        probe.attach_trace(h1.backend.trace)
+        workload = _Workload(substrate, case, am0, am1, (ep0, ep1),
+                             (h0.backend.demux, h1.backend.demux))
+        workload.probe.attach_trace(h1.backend.trace)
 
         # the scripted stage at h1 sees the request path, the one at h0
         # the reply path — keyed by packet identity, not arrival index
@@ -336,33 +336,6 @@ def run_substrate(case: ConformanceCase, substrate: str,
             attach_pipeline(h0.backend, [rev_stage], prefix="conformance.rev"),
         ]
 
-        integrity_failures: List[int] = []
-
-        def handler(ctx) -> None:
-            i = ctx.args[0]
-            if ctx.data != _payload(i, len(ctx.data)) or len(ctx.data) != case.messages[i].size:
-                integrity_failures.append(i)
-
-        def rpc_handler(ctx):
-            handler(ctx)
-            yield from ctx.reply(args=(ctx.args[0] * 2 + 1,))
-
-        am1.register_handler(1, handler)
-        am1.register_handler(2, rpc_handler)
-
-        rpc_errors: List[str] = []
-
-        def settled() -> bool:
-            """Crash cases end at *fate resolution*, not last send: every
-            lifecycle event fired, the reconnect handshake closed, and no
-            send is still awaiting an ack or the abandon verdict."""
-            if fwd_life is not None and len(fwd_life.fired) < len(fwd_events):
-                return False
-            snap0 = am0.snapshot().get(1, {})
-            snap1 = am1.snapshot().get(0, {})
-            return (not snap0.get("unacked") and not snap0.get("reconnecting")
-                    and not snap1.get("reconnecting"))
-
         aborted: List[str] = []
 
         def traffic():
@@ -371,8 +344,7 @@ def run_substrate(case: ConformanceCase, substrate: str,
                     data = _payload(i, message.size)
                     if message.rpc:
                         args, _d = yield from am0.rpc(1, 2, args=(i,), data=data)
-                        if args[0] != i * 2 + 1:
-                            rpc_errors.append(f"rpc {i} returned {args[0]}, wanted {i * 2 + 1}")
+                        workload.check_reply(i, args)
                     else:
                         yield from am0.request(1, 1, args=(i,), data=data)
             except UNetError as exc:
@@ -381,7 +353,7 @@ def run_substrate(case: ConformanceCase, substrate: str,
                 # the diff reports, not a harness failure
                 aborted.append(str(exc))
                 return sim.now
-            while case.lifecycle and not settled():
+            while case.lifecycle and not workload.settled(fwd_life, fwd_events):
                 yield sim.timeout(200.0)
             return sim.now
 
@@ -394,33 +366,8 @@ def run_substrate(case: ConformanceCase, substrate: str,
             am1.shutdown()
             sim.run(until=min(case.time_limit_us, sim.now + _DRAIN_US))
 
-        for line in rpc_errors:
-            probe.violations.append(f"rpc: {line}")
-        if integrity_failures:
-            probe.violations.append(
-                f"integrity: corrupted payload reached the handler for ids "
-                f"{sorted(set(integrity_failures))[:8]}")
-
-        snapshots = {"am0": am0.snapshot(), "am1": am1.snapshot()}
-        trace = probe.finish(completed, completion,
-                             fired=fwd_stage.fired + rev_stage.fired,
-                             snapshots=snapshots,
-                             lifecycle_fired=(fwd_life.fired
-                                              if fwd_life is not None else ()))
-        trace.rexmit = sum(p["retransmissions"] for snap in snapshots.values()
-                           for p in snap.values())
-        trace.timeouts = sum(p["timeouts"] for snap in snapshots.values()
-                             for p in snap.values())
-        trace.dup_rx = sum(p["duplicates"] for snap in snapshots.values()
-                           for p in snap.values())
-        trace.credit_stalls = sum(p["credit_stalls"] for snap in snapshots.values()
-                                  for p in snap.values())
-        trace.ecn_marks = sum(p.get("ecn_marks", 0) for snap in snapshots.values()
-                              for p in snap.values())
-        trace.ecn_echoes = sum(p.get("ecn_echoes", 0) for snap in snapshots.values()
-                               for p in snap.values())
-        trace.ecn_backoffs = sum(p.get("ecn_backoffs", 0) for snap in snapshots.values()
-                                 for p in snap.values())
+        trace = workload.finish(completed, completion,
+                                fwd_stage.fired + rev_stage.fired, fwd_life)
         for pipeline in pipelines:
             pipeline.restore()
         return trace

@@ -204,6 +204,11 @@ class ObservationProbe:
             self._violate(
                 f"invariant:ecn-echo: {self._ecn_marks} congestion marks "
                 f"were noted but no echo was ever sent back")
+
+        def total(key: str) -> int:
+            return sum(p.get(key, 0) for snap in snapshots.values()
+                       for p in snap.values())
+
         return ObservedTrace(
             substrate=self.substrate,
             completed=completed,
@@ -218,4 +223,11 @@ class ObservationProbe:
             lifecycle_fired=list(lifecycle_fired),
             event_tail=list(self.events),
             substrate_tail=list(self.substrate_steps),
+            rexmit=total("retransmissions"),
+            timeouts=total("timeouts"),
+            dup_rx=total("duplicates"),
+            credit_stalls=total("credit_stalls"),
+            ecn_marks=total("ecn_marks"),
+            ecn_echoes=total("ecn_echoes"),
+            ecn_backoffs=total("ecn_backoffs"),
         )

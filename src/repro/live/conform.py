@@ -15,20 +15,19 @@ order, reply sets, drop classes, occurrence-0 fault hits, the online
 window/credit/continuity invariants — is compared exactly; that is the
 point of the exercise.
 
-``inject_live_bug`` mirrors the checker's bug library onto
-:class:`~repro.live.am.LiveAm`'s spec seams, proving the harness
-catches the same semantic regressions on a wall-clock execution.
+An injected bug comes from the checker's one registry
+(:data:`~repro.conformance.checker.BUGS`): it patches a spec seam of the
+shared protocol core, so the same patch runs on the wall clock, proving
+the harness catches the same semantic regressions there.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import List, Optional
+from typing import Optional
 
 from ..am.am import AmError
-from ..am.protocol import EPOCH_MOD, seq_add, seq_lt
-from ..am.spec import epoch_is_stale
-from ..conformance.observe import ObservationProbe, ObservedTrace
+from ..conformance.checker import _payload, _Workload, inject_bug
+from ..conformance.observe import ObservedTrace
 from ..conformance.schedule import ConformanceCase
 from ..core import EndpointConfig
 from ..core.errors import UNetError
@@ -41,8 +40,7 @@ from .clock import WallClock
 from .doorbell import DEFAULT_DOORBELL_MODE
 from .transport import available_transport_kinds, make_transport, transport_available
 
-__all__ = ["run_live_case", "inject_live_bug", "LIVE_BUGS",
-           "WALL_LIMIT_US", "register_live_substrates"]
+__all__ = ["run_live_case", "WALL_LIMIT_US", "register_live_substrates"]
 
 #: hard wall-clock ceiling per live execution, whatever the case says
 WALL_LIMIT_US = 8_000_000.0
@@ -50,76 +48,7 @@ WALL_LIMIT_US = 8_000_000.0
 _DRAIN_US = 500_000.0
 
 
-# --------------------------------------------------------------- bug library
-def _buggy_credit_blocked(self, peer) -> bool:
-    """The classic off-by-one: sends while remote credit is exactly 0."""
-    return (self.config.credit_flow and peer.remote_credit is not None
-            and peer.remote_credit < 0)  # BUG: spec says <= 0
-
-
-def _buggy_acked_seqs(self, peer, ack: int):
-    """Cumulative-ack fencepost: also acks the packet the receiver is
-    still waiting for, so a dropped packet is never retransmitted."""
-    return [seq for seq in peer.unacked if seq_lt(seq, seq_add(ack, 1))]  # BUG
-
-
-def _buggy_epoch_stale(self, claimed, current) -> bool:
-    """Epoch fence off by one incarnation: traffic stamped with the
-    immediately previous epoch is admitted instead of fenced."""
-    if claimed is not None and (current - claimed) % EPOCH_MOD == 1:
-        return False  # BUG: one-stale traffic admitted
-    return epoch_is_stale(claimed, current)
-
-
-def _buggy_reconnect_plan(self, peer, horizon, restarted):
-    """Reconnect ignores the restart flag: nothing is abandoned, so the
-    old window replays into the fresh incarnation."""
-    return [], []  # BUG: spec abandons everything when the peer restarted
-
-
-# the SACK/ECN seams take only plain arguments, so the simulated
-# checker's patch functions apply to LiveAm verbatim — one bug, both
-# engines, by construction
-from ..conformance.checker import _buggy_ecn_echo, _buggy_sack_plan  # noqa: E402
-
-#: same bug names as ``repro.conformance.checker.BUGS``, patched onto
-#: the live endpoint's spec seams
-LIVE_BUGS = {
-    "credit-gate": {"_credit_blocked": _buggy_credit_blocked},
-    "ack-horizon": {"_acked_seqs": _buggy_acked_seqs},
-    "epoch-fence": {"_epoch_stale": _buggy_epoch_stale},
-    "replay-horizon": {"_reconnect_plan": _buggy_reconnect_plan},
-    "sack-bitmap-shift": {"_sack_plan": _buggy_sack_plan},
-    "ecn-echo-drop": {"_ecn_echo": _buggy_ecn_echo},
-}
-
-
-@contextmanager
-def inject_live_bug(name: Optional[str]):
-    """Temporarily install a named bug into :class:`LiveAm`."""
-    if name is None:
-        yield
-        return
-    if name not in LIVE_BUGS:
-        raise ValueError(f"bug {name!r} has no live patch; "
-                         f"choose from {sorted(LIVE_BUGS)}")
-    patches = LIVE_BUGS[name]
-    saved = {attr: getattr(LiveAm, attr) for attr in patches}
-    try:
-        for attr, fn in patches.items():
-            setattr(LiveAm, attr, fn)
-        yield
-    finally:
-        for attr, fn in saved.items():
-            setattr(LiveAm, attr, fn)
-
-
 # ------------------------------------------------------------------- running
-def _payload(i: int, size: int) -> bytes:
-    # must match the checker's workload payloads byte-for-byte
-    return bytes((i + j) % 256 for j in range(size))
-
-
 def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
                   bug: Optional[str] = None,
                   doorbell_mode: str = DEFAULT_DOORBELL_MODE) -> ObservedTrace:
@@ -133,7 +62,7 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
     """
     clock = WallClock()
     limit_us = min(case.time_limit_us, WALL_LIMIT_US)
-    with inject_live_bug(bug), LiveCluster(
+    with inject_bug(bug), LiveCluster(
             lambda name: make_transport(transport_kind, name), clock,
             doorbell_mode=doorbell_mode) as cluster:
         n0 = cluster.add_node("n0")
@@ -152,15 +81,8 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
         am0.connect_peer(1, ch0)
         am1.connect_peer(0, ch1)
 
-        name = f"live-{transport_kind}"
-        probe = ObservationProbe(name, requester_node=0,
-                                 config_window=am0.config.window)
-        probe.attach_am(am0)
-        probe.attach_am(am1)
-        probe.attach_endpoint(ep0.endpoint)
-        probe.attach_endpoint(ep1.endpoint)
-        probe.attach_demux(n0.demux)
-        probe.attach_demux(n1.demux)
+        workload = _Workload(f"live-{transport_kind}", case, am0, am1,
+                             (ep0, ep1), (n0.demux, n1.demux))
 
         # same keying as the simulated substrates: the stage at n1 sees
         # the request path, the one at n0 the reply path
@@ -178,22 +100,6 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
         # first so a scripted drop never fires a lifecycle trigger
         n1.install_ingress_stage(ChainedStage(fwd_stage, fwd_life))
         n0.install_ingress_stage(rev_stage)
-
-        integrity_failures: List[int] = []
-        rpc_errors: List[str] = []
-
-        def handler(ctx) -> None:
-            i = ctx.args[0]
-            if (ctx.data != _payload(i, len(ctx.data))
-                    or len(ctx.data) != case.messages[i].size):
-                integrity_failures.append(i)
-
-        def rpc_handler(ctx) -> None:
-            handler(ctx)
-            ctx.reply(args=(ctx.args[0] * 2 + 1,))
-
-        am1.register_handler(1, handler)
-        am1.register_handler(2, rpc_handler)
 
         def pump() -> None:
             moved = cluster.step()
@@ -215,9 +121,7 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
                 if message.rpc:
                     args, _d = am0.rpc(1, 2, args=(i,), data=data,
                                        pump=pump, limit_us=remaining)
-                    if args[0] != i * 2 + 1:
-                        rpc_errors.append(
-                            f"rpc {i} returned {args[0]}, wanted {i * 2 + 1}")
+                    workload.check_reply(i, args)
                 else:
                     am0.request(1, 1, args=(i,), data=data,
                                 pump=pump, limit_us=remaining)
@@ -226,22 +130,11 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
             # refused the remaining sends: either way, incomplete
             completed = False
 
-        def settled() -> bool:
-            """Crash cases end at fate resolution, not at the last send:
-            every lifecycle event fired, no send still awaiting a fate,
-            and neither side mid-handshake."""
-            if fwd_life is not None and len(fwd_life.fired) < len(fwd_events):
-                return False
-            s0 = am0.snapshot().get(1)
-            if s0 and (s0["unacked"] or s0["reconnecting"]):
-                return False
-            s1 = am1.snapshot().get(0)
-            return not (s1 and s1["reconnecting"])
-
         if completed and case.lifecycle:
-            while clock.now_us() < deadline and not settled():
+            while (clock.now_us() < deadline
+                   and not workload.settled(fwd_life, fwd_events)):
                 pump()
-            completed = settled()
+            completed = workload.settled(fwd_life, fwd_events)
         completion = clock.now_us() if completed else limit_us
         if completed:
             drain_deadline = min(deadline, clock.now_us() + _DRAIN_US)
@@ -253,34 +146,8 @@ def run_live_case(case: ConformanceCase, transport_kind: str = "unix",
             am1.shutdown()
             pump()
 
-        for line in rpc_errors:
-            probe.violations.append(f"rpc: {line}")
-        if integrity_failures:
-            probe.violations.append(
-                f"integrity: corrupted payload reached the handler for ids "
-                f"{sorted(set(integrity_failures))[:8]}")
-
-        snapshots = {"am0": am0.snapshot(), "am1": am1.snapshot()}
-        trace = probe.finish(completed, completion,
-                             fired=fwd_stage.fired + rev_stage.fired,
-                             snapshots=snapshots,
-                             lifecycle_fired=(fwd_life.fired
-                                              if fwd_life is not None else ()))
-        trace.rexmit = sum(p["retransmissions"] for snap in snapshots.values()
-                           for p in snap.values())
-        trace.timeouts = sum(p["timeouts"] for snap in snapshots.values()
-                             for p in snap.values())
-        trace.dup_rx = sum(p["duplicates"] for snap in snapshots.values()
-                           for p in snap.values())
-        trace.credit_stalls = sum(p["credit_stalls"] for snap in snapshots.values()
-                                  for p in snap.values())
-        trace.ecn_marks = sum(p.get("ecn_marks", 0) for snap in snapshots.values()
-                              for p in snap.values())
-        trace.ecn_echoes = sum(p.get("ecn_echoes", 0) for snap in snapshots.values()
-                               for p in snap.values())
-        trace.ecn_backoffs = sum(p.get("ecn_backoffs", 0) for snap in snapshots.values()
-                                 for p in snap.values())
-        return trace
+        return workload.finish(completed, completion,
+                               fwd_stage.fired + rev_stage.fired, fwd_life)
 
 
 # -------------------------------------------------------------- registration

@@ -76,12 +76,15 @@ def test_ack_horizon_bug_is_caught():
 
 def test_bugs_do_not_leak_out_of_the_context():
     from repro.am import AmEndpoint
-    from repro.conformance.checker import inject_bug
+    from repro.conformance.checker import BUGS, inject_bug
 
-    original = AmEndpoint._acquire_window
-    with inject_bug("credit-gate"):
-        assert AmEndpoint._acquire_window is not original
-    assert AmEndpoint._acquire_window is original
+    for name, bug in BUGS.items():
+        originals = {attr: getattr(AmEndpoint, attr) for attr in bug["patches"]}
+        with inject_bug(name):
+            for attr, fn in bug["patches"].items():
+                assert getattr(AmEndpoint, attr) is fn
+        for attr, fn in originals.items():
+            assert getattr(AmEndpoint, attr) is fn
     with pytest.raises(ValueError):
         with inject_bug("nonesuch"):
             pass  # pragma: no cover

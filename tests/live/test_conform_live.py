@@ -15,7 +15,7 @@ from repro.core.substrates import (
 )
 from repro.faults.scripted import DatagramScriptedStage, ScheduledFault
 from repro.live import FRAME_HEADER_SIZE, run_live_case
-from repro.live.conform import LIVE_BUGS, inject_live_bug
+from repro.conformance.checker import BUGS, inject_bug
 
 from .conftest import require
 
@@ -64,14 +64,16 @@ def test_injected_credit_gate_bug_is_caught_on_live():
 
 
 def test_live_bug_patches_restore_cleanly():
+    """One registry: a bug patches the shared protocol core, so the
+    live driver sees it too, and nothing survives the context."""
     from repro.live import LiveAm
 
     original = LiveAm._credit_blocked
-    with inject_live_bug("credit-gate"):
-        assert LiveAm._credit_blocked is LIVE_BUGS["credit-gate"]["_credit_blocked"]
+    with inject_bug("credit-gate"):
+        assert LiveAm._credit_blocked is BUGS["credit-gate"]["patches"]["_credit_blocked"]
     assert LiveAm._credit_blocked is original
     with pytest.raises(ValueError):
-        with inject_live_bug("no-such-bug"):
+        with inject_bug("no-such-bug"):
             pass
 
 

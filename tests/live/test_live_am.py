@@ -6,6 +6,8 @@ runs off the injected clock, so these tests advance time by hand and
 assert exactly when things fire.
 """
 
+import random
+
 import pytest
 
 from repro.am.am import AmConfig
@@ -163,5 +165,49 @@ def test_credit_refresh_advertises_when_local_room_changes():
         clock.advance(config.credit_update_us + 1)
         am1.service()
         assert am1.acks_sent == acks + 1
+    finally:
+        cluster.close()
+
+
+def test_peer_restart_resets_the_ecn_round():
+    """A restarted peer's congestion echoes describe a new conversation:
+    the old round edge and unsent echoes must not survive it."""
+    clock = ManualClock()
+    config = AmConfig(recovery=True, adaptive_window=True, congestion="ecn")
+    cluster, am0, am1, pump = _pair(clock, config=config)
+    try:
+        peer = am0._peers_by_node[1]
+        peer.ecn_round_end = 500
+        peer.pending_echoes = 2
+        am0._peer_restarted(peer, 1, 0)
+        assert peer.pending_echoes == 0
+        cwnd = peer.cwnd
+        am0._ecn_backoff(peer, 3)
+        assert peer.cwnd == cwnd / 2
+    finally:
+        cluster.close()
+
+
+def test_rto_firing_draws_its_jitter_once():
+    """One firing consumes one jitter draw, and the observed ``rto_us``
+    is the timeout the deadline test used."""
+    clock = ManualClock()
+    config = AmConfig(adaptive_rto=True, backoff_jitter=0.5)
+    cluster, am0, am1, pump = _pair(clock, config=config)
+    try:
+        timeouts = []
+        am0.observer = lambda kind, fields: (
+            timeouts.append(fields["rto_us"]) if kind == "timeout" else None)
+        assert am0.start_request(1, 1, args=(0,)) is not None
+        am0._peers_by_node[1].backoff = 1
+        am0._rng = random.Random(7)
+        reference = random.Random(7)
+        expected = (config.retransmit_timeout_us * config.backoff_factor
+                    * (1.0 + config.backoff_jitter * reference.random()))
+
+        clock.advance(config.rto_max_us + 1.0)
+        am0.service()
+        assert timeouts == [expected]
+        assert am0._rng.getstate() == reference.getstate()
     finally:
         cluster.close()
