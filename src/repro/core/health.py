@@ -23,7 +23,7 @@ EWMAs, classifies the endpoint, and applies a containment policy:
   evaluation instead of outliving the process that earned it).
 
 Shedding is implemented by the substrates themselves: both
-``UNetFeBackend._rx_handler`` and ``UNetAtmBackend._rx_looked_up`` check
+``UNetFeBackend._rx_demuxed`` and ``UNetAtmBackend._rx_looked_up`` check
 ``endpoint.quarantined`` right after the demux lookup and drop shed
 traffic before any buffer allocation, copy, or DMA work happens.
 

@@ -20,19 +20,17 @@ small-message traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.api import Host, UserEndpoint
 from ..core.channels import register_channel
-from ..core.descriptors import SMALL_MESSAGE_MAX
-from ..core.endpoint import Endpoint
 from ..hw.bus import PCI_BUS, BusModel
 from ..hw.cpu import CpuModel
 from ..sim import RngRegistry, Simulator
-from .dc21140 import Dc21140, NicTimings, TxRingDescriptor
+from .dc21140 import Dc21140, NicTimings
 from .frames import EthernetFrame
 from .medium import SharedMedium
-from .unet_fe import TX_TRACE, FeTimings, UNetFeBackend
+from .unet_fe import FeTimings, UNetFeBackend
 
 __all__ = ["BondedTag", "DualNicFeBackend", "BeowulfNetwork"]
 
@@ -72,37 +70,25 @@ class DualNicFeBackend(UNetFeBackend):
         self.nic.attach(attachment_a)
         self.nic_b.attach(attachment_b)
 
-    def _service_send(self, endpoint: Endpoint, descriptor) -> Generator:
-        binding = endpoint.channels.get(descriptor.channel_id)
-        if binding is None or not isinstance(binding.tag, BondedTag):
-            yield from super()._service_send(endpoint, descriptor)
-            return
-        t = self.timings
-        yield from self._step(TX_TRACE, "check U-Net send parameters", t.check_send_params_us)
-        tag: BondedTag = binding.tag
-        payload = b"".join(
-            endpoint.buffers.buffer(idx).read(length) for idx, length in descriptor.segments
-        )
+    def _tx_frame(self, binding, payload: bytes) -> Tuple[Dc21140, EthernetFrame]:
+        """Stripe bonded channels round-robin over the two rails."""
+        tag = binding.tag
+        if not isinstance(tag, BondedTag):
+            return super()._tx_frame(binding, payload)
         rail = self._rail
-        self._rail = 1 - self._rail
-        yield from self._step(TX_TRACE, "Ethernet header set-up", t.ethernet_header_setup_us)
-        frame = EthernetFrame(
+        self._rail = 1 - rail
+        nic = self.nics[rail]
+        # the trap's closing poll demand reaches the first controller
+        # only, so each rail is kicked as its descriptor is set up (the
+        # chip scans its ring one zero-delay hop later, after the push)
+        nic.poll_demand()
+        return nic, EthernetFrame(
             dst_mac=tag.dst_macs[rail],
             src_mac=tag.src_macs[rail],
             dst_port=tag.dst_port,
             src_port=tag.src_port,
             payload=payload,
         )
-        yield from self._step(TX_TRACE, "device send ring descriptor set-up", t.ring_descriptor_setup_us)
-
-        def complete(d=descriptor, ep=endpoint):
-            ep.send_completed(d)
-
-        nic = self.nics[rail]
-        nic.tx_ring.push(TxRingDescriptor(frame=frame, on_complete=complete))
-        nic.poll_demand()
-        binding.messages_sent += 1
-        self.messages_sent += 1
 
 
 class BeowulfNetwork:

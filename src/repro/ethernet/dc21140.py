@@ -180,17 +180,16 @@ class Dc21140:
             self.sim.call_in(0.0, resume)
 
     def _wire_send(self, descriptor: TxRingDescriptor) -> None:
-        transmit = self.sim.process(self.attachment.transmit(descriptor.frame))
-        transmit.callbacks.append(partial(self._wire_done, self.sim.now))
+        self.attachment.send(descriptor.frame, partial(self._wire_done, self.sim.now))
 
-    def _wire_done(self, t0: float, transmit) -> None:
-        if transmit.ok:
+    def _wire_done(self, t0: float, error: Optional[Exception]) -> None:
+        if error is None:
             self._span("serialize frame onto the wire", t0)
             self.frames_sent += 1
-        elif isinstance(transmit.value, ExcessiveCollisions):
+        elif isinstance(error, ExcessiveCollisions):
             self.tx_collision_drops += 1
         else:
-            raise transmit.value
+            raise error
         if not self._tx_fifo:
             self._wire_idle = True
             return

@@ -49,10 +49,19 @@ class ExcessiveCollisions(Exception):
 class Attachment:
     """What a NIC plugs into.
 
-    ``transmit`` is a simulation process that completes when the frame
-    has been put on the wire; ``receive`` is a callback the NIC installs
-    to learn about inbound frames.
+    ``send`` starts putting a frame on the wire and calls
+    ``done(error)`` once it is off: ``error`` is None, or the
+    :class:`ExcessiveCollisions` that dropped the frame.  Sending starts
+    in the urgent tier of the calling instant and ``done`` runs one
+    zero-delay hop after the wire time ends: the slots a transmit
+    process's start-up and completion events take.  ``transmit`` is the
+    same send as a generator, for callers that are processes.
+    ``receive`` is a callback the NIC installs to learn about inbound
+    frames.
     """
+
+    def send(self, frame: EthernetFrame, done: Callable[[Optional[Exception]], None]) -> None:
+        raise NotImplementedError
 
     def transmit(self, frame: EthernetFrame):
         raise NotImplementedError
@@ -164,6 +173,11 @@ class HubAttachment(Attachment):
         self.medium = medium
         self.receive: Optional[Callable[[EthernetFrame], None]] = None
 
+    def send(self, frame: EthernetFrame, done: Callable[[Optional[Exception]], None]) -> None:
+        # CSMA/CD carrier sense and backoff stay a process
+        transmit = self.medium.sim.process(self.medium._transmit(self, frame))
+        transmit.callbacks.append(lambda proc: done(None if proc.ok else proc.value))
+
     def transmit(self, frame: EthernetFrame):
         yield from self.medium._transmit(self, frame)
 
@@ -176,10 +190,10 @@ class SimplexChannel:
 
     Like :class:`~repro.atm.phy.CellLink` this is analytic: ``submit``
     computes the serialization window from a running busy-until clock
-    and schedules the delivery callback and completion event directly —
-    no pump process, no store, a fraction of the kernel events per
-    frame.  The late-bound ``deliver`` attribute is read at fire time so
-    fault pipelines can interpose.
+    and schedules the delivery callback directly — no pump process, no
+    store, and no completion event: ``submit`` returns the serialization
+    time, for a sender that waits on it.  The late-bound ``deliver``
+    attribute is read at fire time so fault pipelines can interpose.
     """
 
     def __init__(
@@ -210,9 +224,9 @@ class SimplexChannel:
         self.frames_carried = 0
         self.frames_dropped = 0
 
-    def submit(self, frame: EthernetFrame) -> Event:
-        """Queue ``frame``; the returned event fires when it has fully
-        serialized onto the wire (immediately, if the buffer drops it).
+    def submit(self, frame: EthernetFrame) -> float:
+        """Queue ``frame``; returns how long from now until it has fully
+        serialized onto the wire (0.0, if the buffer drops it).
 
         One frame may be serializing plus ``buffer_frames`` queued
         behind it; a queue slot frees at that frame's end-of-wire time.
@@ -220,7 +234,7 @@ class SimplexChannel:
         sim = self.sim
         if self.buffer_frames is not None and self._pending > self.buffer_frames:
             self.frames_dropped += 1
-            return sim.timeout(0.0)  # dropped: the sender's wire time is over
+            return 0.0  # dropped: the sender's wire time is over
         now = sim.now
         start = self._busy_until if self._busy_until > now else now
         total = wire_time_us(frame, self.rate_mbps)
@@ -232,7 +246,7 @@ class SimplexChannel:
         deliver_at = (start + min(self._header_time, total)
                       if self.deliver_at_header else end)
         sim.call_in(deliver_at + self.propagation_us - now, self._deliver_one, frame)
-        return sim.timeout(end - now)
+        return end - now
 
     @property
     def queued(self) -> int:
@@ -272,9 +286,17 @@ class DuplexLink(Attachment):
         )
         self.downlink = SimplexChannel(sim, rate_mbps, propagation_us, name=f"{name}.down")
 
+    def send(self, frame: EthernetFrame, done: Callable[[Optional[Exception]], None]) -> None:
+        self.sim._call_urgent(self._send, frame, done)
+
+    def _send(self, frame: EthernetFrame, done: Callable[[Optional[Exception]], None]) -> None:
+        # full duplex: the only wait is our own uplink serialization;
+        # ``done`` runs one hop after it, where a transmit process's
+        # completion event fired
+        self.sim.call_in(self.uplink.submit(frame), self.sim.call_in, 0.0, done, None)
+
     def transmit(self, frame: EthernetFrame):
-        # full duplex: the only wait is our own uplink serialization
-        yield self.uplink.submit(frame)
+        yield self.sim.timeout(self.uplink.submit(frame))
 
     def set_receiver(self, receive: Callable[[EthernetFrame], None]) -> None:
         self.downlink.deliver = receive

@@ -41,7 +41,7 @@ from ..am import AmConfig, AmEndpoint
 from ..core import EndpointConfig
 from ..core.errors import UNetError
 from ..sim import Simulator
-from .soak import _build_network
+from .soak import _build_network, cyclic_bytes
 
 __all__ = [
     "CrashScenario",
@@ -157,10 +157,6 @@ CRASH_SCENARIOS: Dict[str, CrashScenario] = {
 }
 
 
-def _payload(i: int, size: int) -> bytes:
-    return bytes((i + j) % 256 for j in range(size))
-
-
 class _FateLedger:
     """Shared fate bookkeeping: seq->id mapping at the sender, delivery
     counting at the receiver, abandon/recovery events off the sender's
@@ -189,7 +185,7 @@ class _FateLedger:
 
     def deliver(self, i: int, data: bytes, expected_size: int) -> None:
         self.delivery_counts[i] = self.delivery_counts.get(i, 0) + 1
-        if data != _payload(i, len(data)) or len(data) != expected_size:
+        if data != cyclic_bytes(i, len(data)) or len(data) != expected_size:
             self.integrity_failures.append(i)
 
     # -- verdicts ----------------------------------------------------------
@@ -264,7 +260,7 @@ def _run_sim_crash(scenario: CrashScenario, progress=None) -> CrashSoakResult:
     def traffic():
         try:
             for i in range(scenario.messages):
-                data = _payload(i, scenario.payload_bytes)
+                data = cyclic_bytes(i, scenario.payload_bytes)
                 seq = yield from am0.request(1, 1, args=(i,), data=data)
                 ledger.seq_to_id[seq] = i
                 sent_ids.append(i)
@@ -405,7 +401,7 @@ def _run_live_crash(scenario: CrashScenario, transport_kind: Optional[str] = Non
                 if remaining <= 0:
                     completed = False
                     break
-                data = _payload(i, scenario.payload_bytes)
+                data = cyclic_bytes(i, scenario.payload_bytes)
                 seq = am0.request(1, 1, args=(i,), data=data,
                                   pump=pump, limit_us=remaining)
                 ledger.seq_to_id[seq] = i
@@ -523,7 +519,7 @@ def _run_sigkill(scenario: CrashScenario, progress=None) -> CrashSoakResult:
                 if progress is not None:
                     progress(f"{scenario.name}: SIGKILL #{crash_idx} "
                              f"(pid reaped) before id {i}")
-            data = _payload(i, scenario.payload_bytes)
+            data = cyclic_bytes(i, scenario.payload_bytes)
             sent_ids.append(i)
             try:
                 args, echoed = am.rpc(1, 1, args=(i,), data=data, pump=pump,

@@ -20,7 +20,7 @@ unchanged for existing callers — now detachable the same way.
 from __future__ import annotations
 
 import random
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..sim.rng import RngRegistry
 from .perturb import LinkPerturbation, PerturbationContext
@@ -148,15 +148,15 @@ class PerturbationPipeline:
                 self.delivered += 1
                 deliver(pdu)
             else:
-                self.sim.process(self._deliver_later(pdu, delay, deliver),
-                                 name="faults.delayed")
+                # a delayed delivery starts in the urgent tier of this
+                # instant, as the process it replaces did
+                self.sim._call_urgent(self.sim.call_in, delay, self._deliver_later, pdu, deliver)
             return
         stage = self.stages[index]
         stage.process(pdu, self.sim.now,
                       lambda p, d=0.0: self._feed(index + 1, p, delay + d, deliver))
 
-    def _deliver_later(self, pdu, delay: float, deliver) -> Generator:
-        yield self.sim.timeout(delay)
+    def _deliver_later(self, pdu, deliver) -> None:
         self.delivered += 1
         deliver(pdu)
 

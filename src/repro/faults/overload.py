@@ -40,6 +40,7 @@ from ..core.health import (
 )
 from ..sim import RngRegistry, Simulator
 from .receiver import LeakyReceiver, SlowReceiver, StalledReceiver
+from .soak import cyclic_bytes
 
 __all__ = [
     "OverloadScenario",
@@ -302,7 +303,7 @@ def run_overload(
             host = net.add_host(f"b{j}", PENTIUM_120)
             user = host.create_endpoint(rx_buffers=8)
             _ch_rx, ch_b = net.connect(sick_user, user)
-            payload = bytes((j + k) % 256 for k in range(scenario.blaster_payload_bytes))
+            payload = cyclic_bytes(j, scenario.blaster_payload_bytes)
 
             def blaster(user=user, channel=ch_b, payload=payload):
                 while not blaster_stop[0]:
@@ -318,7 +319,7 @@ def run_overload(
     def traffic(sender: int, am: AmEndpoint):
         peer = next(iter(am._peers_by_node))
         for k in range(scenario.messages):
-            data = bytes((sender + k + b) % 256 for b in range(scenario.payload_bytes))
+            data = cyclic_bytes(sender + k, scenario.payload_bytes)
             yield from am.request(peer, 1, args=(sender, k), data=data)
 
     for i, am in enumerate(healthy_sender_ams):

@@ -189,13 +189,13 @@ def run_scenario(
     def handler(ctx) -> None:
         i = ctx.args[0]
         delivered.append(i)
-        if ctx.data != _payload(i, scenario.payload_bytes):
+        if ctx.data != cyclic_bytes(i, scenario.payload_bytes):
             integrity_failures.append(i)
 
     def rpc_handler(ctx):
         i = ctx.args[0]
         delivered.append(i)
-        if ctx.data != _payload(i, scenario.payload_bytes):
+        if ctx.data != cyclic_bytes(i, scenario.payload_bytes):
             integrity_failures.append(i)
         yield from ctx.reply(args=(i * 2 + 1,))
 
@@ -206,7 +206,7 @@ def run_scenario(
 
     def traffic():
         for i in range(scenario.messages):
-            data = _payload(i, scenario.payload_bytes)
+            data = cyclic_bytes(i, scenario.payload_bytes)
             if scenario.rpc_every and i % scenario.rpc_every == scenario.rpc_every - 1:
                 args, _d = yield from am0.rpc(1, 2, args=(i,), data=data)
                 if args[0] != i * 2 + 1:
@@ -269,8 +269,19 @@ def run_scenario(
     )
 
 
-def _payload(i: int, size: int) -> bytes:
-    return bytes((i + j) % 256 for j in range(size))
+_RAMP = bytes(range(256))
+
+
+def cyclic_bytes(base: int, size: int) -> bytes:
+    """The ``size`` bytes ``(base + j) % 256`` for ``j`` in ``range(size)``:
+    the soaks' self-checking message payloads, cut from a repeated
+    ``0..255`` ramp.
+
+    >>> list(cyclic_bytes(254, 4))
+    [254, 255, 0, 1]
+    """
+    start = base % 256
+    return (_RAMP * ((start + size) // 256 + 1))[start:start + size]
 
 
 def fixed_config() -> AmConfig:

@@ -41,6 +41,7 @@ from ..core import EndpointConfig
 from ..sim import RngRegistry, Simulator
 from .inject import attach_pipeline
 from .perturb import BottleneckQueue, GilbertElliott, LinkPerturbation, Reorder
+from .soak import cyclic_bytes
 
 __all__ = [
     "TRANSPORT_FORMAT",
@@ -228,10 +229,6 @@ class TransportResult:
         }
 
 
-def _payload(sender: int, i: int, size: int) -> bytes:
-    return bytes((sender * 37 + i + j) % 256 for j in range(size))
-
-
 def run_transport(scenario: TransportScenario, mode: str,
                   seed: int = 0xC0FFEE) -> TransportResult:
     """Run ``scenario`` once under transport ``mode``, invariants checked."""
@@ -279,7 +276,7 @@ def run_transport(scenario: TransportScenario, mode: str,
         s, i = ctx.args[0], ctx.args[1]
         delivered[s].append(i)
         delivery_times.append(sim.now)
-        if ctx.data != _payload(s, i, scenario.payload_bytes):
+        if ctx.data != cyclic_bytes(s * 37 + i, scenario.payload_bytes):
             integrity_failures.append((s, i))
 
     sink_am.register_handler(1, handler)
@@ -289,7 +286,7 @@ def run_transport(scenario: TransportScenario, mode: str,
     def traffic(s: int, am: AmEndpoint):
         for i in range(scenario.messages):
             yield from am.request(0, 1, args=(s, i),
-                                  data=_payload(s, i, scenario.payload_bytes))
+                                  data=cyclic_bytes(s * 37 + i, scenario.payload_bytes))
         done_at.append(sim.now)
 
     processes = [sim.process(traffic(s, am), name=f"transport.src{s}")

@@ -10,7 +10,7 @@ returning, so no frame is lost and no redundant handler runs.
 
 from __future__ import annotations
 
-from typing import Callable, Generator
+from typing import Callable
 
 from ..sim import Simulator
 from .cpu import CpuModel
@@ -19,23 +19,30 @@ __all__ = ["InterruptController"]
 
 
 class InterruptController:
-    """Delivers device interrupts to a kernel handler process.
+    """Delivers device interrupts to a kernel handler.
 
-    ``handler_factory`` returns a fresh generator for each handler
-    invocation; the generator runs with the interrupt-entry latency
-    already charged.  Devices call :meth:`assert_irq`.
+    ``handler(done)`` starts one handler run, with the interrupt-entry
+    latency already charged, and calls ``done()`` when the run returns.
+    Devices call :meth:`assert_irq`.
+
+    The controller is a ``call_in`` state machine that keeps the heap
+    slots of the dispatcher and handler processes it replaces: entry
+    starts in the urgent tier of the asserting instant, each handler
+    run starts in the urgent tier of its own instant, and the
+    controller learns that a run returned one zero-delay hop after
+    ``done()``, where the handler process's completion event fired.
     """
 
     def __init__(
         self,
         sim: Simulator,
         cpu: CpuModel,
-        handler_factory: Callable[[], Generator],
+        handler: Callable[[Callable[[], None]], None],
         name: str = "irq",
     ) -> None:
         self.sim = sim
         self.cpu = cpu
-        self.handler_factory = handler_factory
+        self.handler = handler
         self.name = name
         self._pending = False
         self._running = False
@@ -59,17 +66,26 @@ class InterruptController:
         if self._pending:
             return
         self._pending = True
-        self.sim.process(self._dispatch(), name=f"{self.name}-dispatch")
+        self.sim._call_urgent(self.sim.call_in, self.cpu.interrupt_entry_us, self._entered)
 
-    def _dispatch(self) -> Generator:
-        yield self.sim.timeout(self.cpu.interrupt_entry_us)
+    def _entered(self) -> None:
         self._pending = False
         self._running = True
-        while True:
-            self._rerun = False
-            self.handler_runs += 1
-            yield self.sim.process(self.handler_factory(), name=f"{self.name}-handler")
-            if not self._rerun:
-                break
-        yield self.sim.timeout(self.cpu.interrupt_return_us)
+        self._run()
+
+    def _run(self) -> None:
+        self._rerun = False
+        self.handler_runs += 1
+        self.sim._call_urgent(self.handler, self._handler_returned)
+
+    def _handler_returned(self) -> None:
+        self.sim.call_in(0.0, self._after_run)
+
+    def _after_run(self) -> None:
+        if self._rerun:
+            self._run()
+        else:
+            self.sim.call_in(self.cpu.interrupt_return_us, self._returned)
+
+    def _returned(self) -> None:
         self._running = False

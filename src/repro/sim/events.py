@@ -114,6 +114,21 @@ class Event:
         self.sim._schedule(self, delay=0.0, priority=priority)
         return self
 
+    def _fire(self, value: Any = None) -> None:
+        """Succeed and process the event inside the heap entry that is
+        running: its waiters resume now, as if they had waited on that
+        entry.  A state machine that replaces a process's last ``Timeout``
+        fires the event its caller waits on this way, so the caller
+        resumes in the heap slot that ``Timeout`` had."""
+        if self._triggered:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self._triggered = True
+        self._value = value
+        self._processed = True
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+
     def _mark_processed(self) -> None:
         self._processed = True
         self.callbacks = None

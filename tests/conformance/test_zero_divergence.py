@@ -2,7 +2,7 @@
 
 The differential sweep on main reports zero divergences — including the
 demux-shed/quarantine ordering both backends implement independently
-(`UNetAtmBackend._rx_looked_up` vs `UNetFeBackend._rx_handler`), which
+(`UNetAtmBackend._rx_looked_up` vs `UNetFeBackend._rx_demuxed`), which
 was the suspected drift point.  These tests pin that state: a seed
 sweep across every config preset must stay divergence-free, and shed
 traffic must classify identically (as ``quarantine_drops``, before any

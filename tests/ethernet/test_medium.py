@@ -123,7 +123,8 @@ def test_simplex_submit_completion_event():
     times = []
 
     def tx():
-        yield chan.submit(_frame())
+        # submit returns the time until the frame is off the wire
+        yield sim.timeout(chan.submit(_frame()))
         times.append(sim.now)
 
     sim.process(tx())
@@ -137,9 +138,12 @@ def test_deliver_at_header_mode():
     arrivals = []
     chan.deliver = lambda f: arrivals.append(sim.now)
     big = _frame(b"x" * 1400)
-    chan.submit(big)
+    serialized = chan.submit(big)
     sim.run()
     header_time = (8 + 14) * 8 / 100.0
     assert arrivals == [pytest.approx(header_time)]
     # the channel itself stayed busy for the full frame
-    assert sim.now == pytest.approx(wire_time_us(big))
+    assert serialized == pytest.approx(wire_time_us(big))
+    chan.submit(big)
+    sim.run()
+    assert arrivals[1] == pytest.approx(wire_time_us(big) + header_time)

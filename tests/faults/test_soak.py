@@ -120,3 +120,11 @@ def test_scenario_catalogue_is_complete():
         stages = scenario.perturbations()
         assert stages and all(hasattr(s, "process") for s in stages)
     assert SCENARIOS["bursty-atm"].substrate == "atm"
+
+
+@pytest.mark.parametrize("size", [0, 1, 255, 256, 257, 400, 2000])
+def test_cyclic_bytes_equals_the_per_byte_formula(size):
+    from repro.faults.soak import cyclic_bytes
+
+    for base in list(range(-300, 600, 7)) + [255, 256, 257, 2**31 + 5]:
+        assert cyclic_bytes(base, size) == bytes((base + j) % 256 for j in range(size)), base

@@ -169,15 +169,17 @@ def test_invalid_area_dimensions():
 
 
 # ---------------------------------------------------------------- interrupts
+# Handlers are state machines: ``handler(done)`` starts a run and calls
+# ``done()`` when it returns.
 
 
 def test_interrupt_entry_latency_charged():
     sim = Simulator()
     runs = []
 
-    def handler():
+    def handler(done):
         runs.append(sim.now)
-        yield sim.timeout(1.0)
+        sim.call_in(1.0, done)
 
     ctl = InterruptController(sim, PENTIUM_120, handler)
     ctl.assert_irq()
@@ -190,9 +192,9 @@ def test_interrupts_coalesce_while_pending():
     sim = Simulator()
     runs = []
 
-    def handler():
+    def handler(done):
         runs.append(sim.now)
-        yield sim.timeout(1.0)
+        sim.call_in(1.0, done)
 
     ctl = InterruptController(sim, PENTIUM_120, handler)
     ctl.assert_irq()
@@ -207,12 +209,12 @@ def test_interrupt_during_handler_triggers_rerun():
     runs = []
     ctl_holder = {}
 
-    def handler():
+    def handler(done):
         runs.append(sim.now)
         if len(runs) == 1:
             # a new frame arrives while the handler is copying
             ctl_holder["ctl"].assert_irq()
-        yield sim.timeout(2.0)
+        sim.call_in(2.0, done)
 
     ctl = InterruptController(sim, PENTIUM_120, handler)
     ctl_holder["ctl"] = ctl
@@ -226,9 +228,9 @@ def test_interrupt_after_completion_runs_again():
     sim = Simulator()
     runs = []
 
-    def handler():
+    def handler(done):
         runs.append(sim.now)
-        yield sim.timeout(0.5)
+        sim.call_in(0.5, done)
 
     ctl = InterruptController(sim, PENTIUM_120, handler)
 
@@ -241,3 +243,43 @@ def test_interrupt_after_completion_runs_again():
     sim.run()
     assert len(runs) == 2
     assert not ctl.busy
+
+
+def test_asserts_during_a_running_handler_rerun_it_exactly_once():
+    """Two asserts land while the first run is in progress: one rerun
+    starts the instant the first returns, with no second entry latency,
+    and the line goes idle one return latency after the rerun.  The
+    times are exact; they were checked against the controller's earlier
+    process-based form."""
+    sim = Simulator()
+    entry = PENTIUM_120.interrupt_entry_us
+    runs, returns = [], []
+
+    def handler(done):
+        runs.append(sim.now)
+
+        def finish():
+            returns.append(sim.now)
+            done()
+        sim.call_in(2.0, finish)
+
+    ctl = InterruptController(sim, PENTIUM_120, handler)
+
+    def driver():
+        ctl.assert_irq()
+        yield sim.timeout(entry + 1.0)
+        ctl.assert_irq()
+        yield sim.timeout(0.5)
+        ctl.assert_irq()
+
+    sim.process(driver())
+    first_return = entry + 2.0
+    second_return = first_return + 2.0
+    idle_at = second_return + PENTIUM_120.interrupt_return_us
+    sim.run(until=second_return)
+    assert ctl.busy
+    sim.run()
+    assert runs == [entry, first_return]
+    assert returns == [first_return, second_return]
+    assert ctl.handler_runs == 2 and ctl.interrupts_asserted == 3
+    assert not ctl.busy and sim.now == idle_at

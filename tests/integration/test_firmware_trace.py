@@ -1,15 +1,16 @@
-"""Whole step sequences of the PCA-200 and DC21140 firmware, pinned.
+"""Whole step sequences of the NIC firmware and the U-Net/FE kernel, pinned.
 
-A small scripted scenario drives every firmware path under contention
-with one shared :class:`TraceRecorder`; the resulting list of
+Small scripted scenarios drive every PCA-200 and DC21140 firmware path
+and every U-Net/FE trap and interrupt-handler branch under contention,
+each with one shared :class:`TraceRecorder`; the resulting list of
 ``(start, duration, category, step, begin)`` records must equal the
 committed fixture exactly.  The interleaving of steps across NICs and
 paths depends on the order the engine pops same-instant heap entries,
 so this catches a firmware or engine change that reorders them even
 when every per-message latency still looks right.
 
-The fixture was recorded from the generator-process firmware that the
-``call_in`` state machines replaced.  Regenerate it with
+The fixture was recorded from the generator-process firmware and kernel
+that the ``call_in`` state machines replaced.  Regenerate it with
 ``PYTHONPATH=src python tests/integration/test_firmware_trace.py``
 only when a step's timing is meant to change.
 """
@@ -19,7 +20,9 @@ from pathlib import Path
 
 from repro.atm import AtmNetwork
 from repro.core import EndpointConfig
-from repro.ethernet import HubNetwork, SwitchedNetwork
+from repro.ethernet import BeowulfNetwork, EthernetFrame, HubNetwork, RoutedFeNetwork, SwitchedNetwork
+from repro.ethernet.dc21140 import RxRingBuffer
+from repro.ethernet.ip import build_ipv4_udp
 from repro.hw import PCI_BUS, PENTIUM_120, SPARCSTATION_20
 from repro.sim import Simulator, TraceRecorder
 
@@ -145,11 +148,94 @@ def fe_scenario(hub):
     return rec, (h1.backend, h2.backend), got, combined
 
 
+def fe_kernel_edges_scenario():
+    """The U-Net/FE kernel branches the two FE scenarios leave out, on
+    three networks sharing one simulator: an IPv4-encapsulated channel
+    and a bad-header drop; quarantine, no-buffer (first and mid-spill)
+    and recv-queue-full drops; a TX ring too small for one trap's
+    queue, so the TX-done path resumes service; a bonded two-rail send."""
+    sim = Simulator()
+    rec = TraceRecorder()
+
+    routed = RoutedFeNetwork(sim, segments=1)
+    r1 = routed.add_host("r1", PENTIUM_120, trace=rec)
+    r2 = routed.add_host("r2", PENTIUM_120, trace=rec)
+    ip1 = r1.create_endpoint(rx_buffers=16)
+    ip2 = r2.create_endpoint(rx_buffers=16)
+    ch_ip1, ch_ip2 = routed.connect(ip1, ip2)
+
+    hub = HubNetwork(sim)
+    h1 = hub.add_host("h1", PENTIUM_120, trace=rec)
+    h2 = hub.add_host("h2", PENTIUM_120, trace=rec)
+    h1.backend.nic.tx_ring.capacity = 2
+    u1 = h1.create_endpoint(config=EndpointConfig(send_queue_depth=16), rx_buffers=16)
+    spill2 = h2.create_endpoint(config=SMALL_BUFFERS, rx_buffers=8)
+    none2 = h2.create_endpoint(rx_buffers=0)
+    short2 = h2.create_endpoint(config=SMALL_BUFFERS, rx_buffers=1)
+    quar2 = h2.create_endpoint(rx_buffers=16)
+    quar2.endpoint.quarantined = True
+    full2 = h2.create_endpoint(config=EndpointConfig(recv_queue_depth=2), rx_buffers=16)
+    ch_spill, _ = hub.connect(u1, spill2)
+    ch_none, _ = hub.connect(u1, none2)
+    ch_short, _ = hub.connect(u1, short2)
+    ch_quar, _ = hub.connect(u1, quar2)
+    ch_full, _ = hub.connect(u1, full2)
+
+    beowulf = BeowulfNetwork(sim)
+    b1 = beowulf.add_host("b1", PENTIUM_120)
+    b2 = beowulf.add_host("b2", PENTIUM_120)
+    ub1 = b1.create_endpoint(rx_buffers=16)
+    ub2 = b2.create_endpoint(rx_buffers=16)
+    ch_b1, ch_b2 = beowulf.connect(ub1, ub2)
+
+    for host in (r1, r2, h1, h2, b1, b2):
+        host.backend.trace = rec
+        for nic in host.backend.nics:
+            nic.trace = rec
+
+    got = []
+    for user in (ip1, ip2, spill2, short2, quar2, ub1, ub2):
+        _receiver(sim, user, got)
+    _sender(sim, ip1, ch_ip1, [b"i" * 40, bytes(range(200))])
+    _sender(sim, ip2, ch_ip2, [b"j" * 20])
+    _sender(sim, ub1, ch_b1, [b"r" * 100, b"s" * 30, b"t" * 700, b"u" * 10])
+    _sender(sim, ub2, ch_b2, [b"v" * 50])
+
+    def queued_then_one_trap():
+        # eight sends queued without a trap: one trap fills the 2-slot
+        # TX ring and the TX-done path resumes service twice or more
+        for channel, payload in ((ch_spill, bytes(range(100)) * 3), (ch_none, b"n" * 200),
+                                 (ch_short, b"s" * 300), (ch_quar, b"q" * 8),
+                                 (ch_quar, b"Q" * 200), (ch_full, b"f" * 10),
+                                 (ch_full, b"F" * 10), (ch_full, b"g" * 10)):
+            yield from u1.send(channel, payload, kick=False)
+        yield from u1.kick()
+    sim.process(queued_then_one_trap())
+
+    def bad_ip_header():
+        # a frame whose IPv4 header checksum fails, landing while r2's
+        # handler is busy with the first IP message
+        yield sim.timeout(60.0)
+        backend = r2.backend
+        bad = bytearray(build_ipv4_udp(r1.backend.ip_address, backend.ip_address,
+                                       0x4000, 0x4000, b"x"))
+        bad[15] ^= 0xFF
+        backend.nic.rx_ring.push(RxRingBuffer(frame=EthernetFrame(
+            dst_mac=backend.mac, src_mac=r1.backend.mac, dst_port=0, src_port=0,
+            payload=bytes(bad))))
+        backend.nic.interrupt()
+    sim.process(bad_ip_header())
+
+    sim.run(until=4000.0)
+    return rec, (r2.backend, h1.backend, h2.backend, b1.backend), got
+
+
 def _all_records():
     return {
         "atm": _records(atm_scenario()[0]),
         "fe-switched": _records(fe_scenario(hub=False)[0]),
         "fe-hub": _records(fe_scenario(hub=True)[0]),
+        "fe-kernel-edges": _records(fe_kernel_edges_scenario()[0]),
     }
 
 
@@ -186,6 +272,26 @@ def test_fe_scenarios_cover_every_controller_path():
         assert len(got) == 6
         assert len(combined) == 4
     assert h1.nic.attachment.medium.collisions > 0
+
+
+def test_fe_kernel_edges_scenario_covers_every_kernel_branch():
+    rec, (r2, h1, h2, b1), got = fe_kernel_edges_scenario()
+    steps = {r.step for r in rec.records}
+    for label in ("IPv4/UDP encapsulation", "IPv4/UDP validation",
+                  "allocate U-Net recv buffer", "copy 128 byte message",
+                  "interrupt handler entry", "return from interrupt"):
+        assert label in steps, label
+    assert r2.ip_header_drops == 1
+    assert (h2.quarantine_drops, h2.no_buffer_drops, h2.recv_queue_drops) == (2, 2, 1)
+    assert bytes(range(100)) * 3 in got and bytes(range(200)) in got
+    # nine traps are the senders' own; the rest are TX-done resumptions
+    # of h1's queue, which the 2-slot TX ring cut short
+    traps = [r for r in rec.records if r.step == "trap entry overhead"]
+    assert len(traps) > 9
+    assert h1.messages_sent == 8 and not h1._deferred_service
+    # the bonded backend striped over both rails
+    assert b1.nic.frames_sent == 2 and b1.nic_b.frames_sent == 2
+    assert len(got) == 3 + 1 + 5
 
 
 def test_firmware_step_trace_matches_fixture():
